@@ -43,7 +43,10 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    clean solve, and breaker state is journaled so resume is
    bit-identical.
 4. **Directives** — the per-building diff old → new is emitted as
-   :class:`Directive` records with per-move expected aggregate deltas;
+   :class:`Directive` records with per-move expected aggregate deltas,
+   scored incrementally by one
+   :class:`~repro.net.engine.DeltaEvaluator` per building (bitwise
+   equal to a full scalar re-score of each intermediate assignment);
    ``dry_run`` previews them without applying anything.
 5. **Journal** — applied epochs append one crash-consistent record to
    the :class:`~repro.sim.checkpoint.TrialStore` journal; resume
@@ -68,7 +71,11 @@ from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
 from ..core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from ..core.wolt import solve_wolt
-from ..net.engine import evaluate
+from ..net.engine import DeltaEvaluator
+# Compose no longer calls ``evaluate``; the name stays bound here
+# because ``perfbench`` traces compose through
+# ``repro.fleet.service.evaluate`` (its span now reads zero calls).
+from ..net.engine import evaluate  # noqa: F401
 from ..sim.checkpoint import TrialStore, fingerprint
 from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
                             WorkFailure, WorkSpec, dispatch_chunked,
@@ -76,7 +83,7 @@ from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
 from ..sim.faults import InjectedCrash
 from .chaos import FleetFaultModel, ShardFaultPlan
 from .ingest import StreamExhausted, SyntheticTelemetry, TelemetrySource
-from .sharding import Segment, split_segments
+from .sharding import Segment, scatter_assignment, split_segments
 from .spec import FleetSpec, build_building_scenario
 
 __all__ = ["BuildingEpoch", "Directive", "EpochReport", "FleetService",
@@ -216,6 +223,17 @@ def _solve_shard(config: _ShardConfig, spec: WorkSpec) -> Any:
             error = str(exc)
     return WorkFailure(index=spec.index, attempts=attempts,
                        error_type="InjectedCrash", error=error)
+
+
+def _servable(assignment: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """A copy of ``assignment`` with users whose extender is no longer
+    usable under ``scenario`` detached."""
+    servable = assignment.copy()
+    attached = np.flatnonzero(servable != UNASSIGNED)
+    if attached.size:
+        rates = scenario.wifi_rates[attached, servable[attached]]
+        servable[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
+    return servable
 
 
 class _BuildingState:
@@ -598,38 +616,33 @@ class FleetService:
                          results: Sequence[Any],
                          apply: bool) -> BuildingEpoch:
         """Scatter shard results, diff directives, optionally apply."""
-        old = bstate.assignment
-        n_users = old.shape[0]
-        new = np.full(n_users, UNASSIGNED, dtype=int)
+        servable = _servable(bstate.assignment, scenario)
+        solved = [(segment, result)
+                  for segment, result in zip(segments, results)
+                  if not isinstance(result, WorkFailure)]
+        new = scatter_assignment(servable.shape[0],
+                                 [segment for segment, _ in solved],
+                                 [result for _, result in solved])
         shard_failures = 0
         shard_timeouts = 0
         for segment, result in zip(segments, results):
-            if isinstance(result, WorkFailure):
-                # Shard quarantine: its users keep their previous
-                # association (when still reachable) instead of taking
-                # the building down with the failed solve.
-                shard_failures += 1
-                if result.error_type == TIMEOUT_ERROR_TYPE:
-                    shard_timeouts += 1
-                if apply and self._store is not None:
-                    self._store.append_event(
-                        "shard-failure", epoch=self.epoch,
-                        building=bstate.name, segment=segment.index,
-                        error_type=result.error_type)
-                for user in segment.users:
-                    kept = int(old[user])
-                    if (kept != UNASSIGNED
-                            and scenario.wifi_rates[user, kept]
-                            > MIN_USABLE_RATE):
-                        new[user] = kept
+            if not isinstance(result, WorkFailure):
                 continue
-            local = np.asarray(result, dtype=int).ravel()
-            ext_map = np.asarray(segment.extenders, dtype=int)
-            for pos, user in enumerate(segment.users):
-                if local[pos] != UNASSIGNED:
-                    new[user] = ext_map[local[pos]]
+            # Shard quarantine: its users keep their previous
+            # association (when still reachable) instead of taking the
+            # building down with the failed solve.
+            shard_failures += 1
+            if result.error_type == TIMEOUT_ERROR_TYPE:
+                shard_timeouts += 1
+            if apply and self._store is not None:
+                self._store.append_event(
+                    "shard-failure", epoch=self.epoch,
+                    building=bstate.name, segment=segment.index,
+                    error_type=result.error_type)
+            users = np.asarray(segment.users, dtype=int)
+            new[users] = servable[users]
         return self._compose_building_epoch(
-            bstate, scenario, quarantined, new,
+            bstate, scenario, quarantined, new, servable,
             n_segments=len(segments), shard_failures=shard_failures,
             shard_timeouts=shard_timeouts, apply=apply)
 
@@ -644,49 +657,39 @@ class FleetService:
         guard still validates what is kept — a breaker protects the
         campus from a sick building's solve cost, not from invariants.
         """
-        old = bstate.assignment
-        new = old.copy()
-        attached = np.flatnonzero(new != UNASSIGNED)
-        if attached.size:
-            rates = scenario.wifi_rates[attached, new[attached]]
-            new[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
+        servable = _servable(bstate.assignment, scenario)
         return self._compose_building_epoch(
-            bstate, scenario, quarantined, new, n_segments=0,
-            shard_failures=0, shard_timeouts=0, apply=apply)
+            bstate, scenario, quarantined, servable, servable,
+            n_segments=0, shard_failures=0, shard_timeouts=0,
+            apply=apply)
 
     def _compose_building_epoch(self, bstate: _BuildingState,
                                 scenario: Scenario,
                                 quarantined: Tuple[int, ...],
-                                new: np.ndarray, n_segments: int,
+                                new: np.ndarray, servable: np.ndarray,
+                                n_segments: int,
                                 shard_failures: int,
                                 shard_timeouts: int,
                                 apply: bool) -> BuildingEpoch:
-        """Guard-repair ``new``, diff directives, optionally apply."""
+        """Guard-repair ``new``, diff directives, optionally apply.
+
+        Directives are scored against the previous association *as
+        servable this epoch* (``servable``: users whose extender
+        vanished contribute nothing to the baseline), committing one
+        move at a time in user order.  Each move recomputes only the
+        two cells it touches, and every running aggregate is
+        bit-identical to a full :func:`~repro.net.engine.evaluate` of
+        the intermediate assignment.
+        """
         old = bstate.assignment
-        n_users = old.shape[0]
         new, _ = bstate.guard.repair_assignment(
             scenario, new, source="fleet", require_complete=False)
-        # Score against the previous association *as servable this
-        # epoch* (users whose extender vanished contribute nothing to
-        # the baseline).
-        reachable_old = old.copy()
-        attached = np.flatnonzero(reachable_old != UNASSIGNED)
-        if attached.size:
-            rates = scenario.wifi_rates[attached,
-                                        reachable_old[attached]]
-            reachable_old[attached[rates <= MIN_USABLE_RATE]] = \
-                UNASSIGNED
-        running = evaluate(scenario, reachable_old,
-                           plc_mode=self.spec.plc_mode).aggregate
-        baseline = running
-        working = reachable_old.copy()
+        scorer = DeltaEvaluator(scenario, servable,
+                                plc_mode=self.spec.plc_mode)
+        baseline = running = scorer.aggregate
         directives: List[Directive] = []
-        for user in range(n_users):
-            if int(new[user]) == int(old[user]):
-                continue
-            working[user] = new[user]
-            moved = evaluate(scenario, working,
-                             plc_mode=self.spec.plc_mode).aggregate
+        for user in np.flatnonzero(new != old).tolist():
+            moved = scorer.commit(user, int(new[user]))
             directives.append(Directive(
                 building=bstate.name, user=user,
                 old_extender=int(old[user]),

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.problem import UNASSIGNED, Scenario
+from ..core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from ..core.wolt import solve_wolt
 
 __all__ = ["Segment", "coupling_components", "scatter_assignment",
@@ -64,28 +64,35 @@ class Segment:
     scenario: Scenario
 
 
-class _UnionFind:
-    """Union-find over extender indices (path halving, union by size)."""
+def _component_labels(mask: np.ndarray,
+                      circuits: Optional[Sequence[object]]) -> np.ndarray:
+    """Per-extender component label: its component's smallest extender.
 
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def find(self, j: int) -> int:
-        parent = self._parent
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+    ``mask`` is the boolean ``(n_users, n_extenders)`` reachability
+    matrix.  Two extenders share a component when a chain of wiring
+    edges (equal circuit labels) and interference edges (a user hearing
+    both) joins them; labels are the fixed point of min-label
+    propagation over that adjacency.
+    """
+    n_ext = mask.shape[1]
+    if circuits is None:
+        # One building, one medium: the graph is a single component.
+        return np.zeros(n_ext, dtype=int)
+    labels = list(circuits)
+    if len(labels) != n_ext:
+        raise ValueError(
+            f"circuits has {len(labels)} labels for {n_ext} extenders")
+    first_of: Dict[object, int] = {}
+    circuit = np.array([first_of.setdefault(label, j)
+                        for j, label in enumerate(labels)], dtype=int)
+    hear = mask.astype(np.int64)
+    adjacent = ((hear.T @ hear) > 0) | (circuit[:, None] == circuit)
+    comp = np.arange(n_ext)
+    while True:
+        nxt = np.where(adjacent, comp, n_ext).min(axis=1, initial=n_ext)
+        if np.array_equal(nxt, comp):
+            return comp
+        comp = nxt
 
 
 def coupling_components(scenario: Scenario,
@@ -105,32 +112,10 @@ def coupling_components(scenario: Scenario,
         Extender-index tuples, each sorted ascending, ordered by their
         smallest member.
     """
-    n_ext = scenario.n_extenders
-    uf = _UnionFind(n_ext)
-    if circuits is None:
-        for j in range(1, n_ext):
-            uf.union(0, j)
-    else:
-        labels = list(circuits)
-        if len(labels) != n_ext:
-            raise ValueError(
-                f"circuits has {len(labels)} labels for {n_ext} "
-                "extenders")
-        first_of: Dict[object, int] = {}
-        for j, label in enumerate(labels):
-            if label in first_of:
-                uf.union(first_of[label], j)
-            else:
-                first_of[label] = j
-    for user in range(scenario.n_users):
-        reach = scenario.reachable(user)
-        for j in reach[1:]:
-            uf.union(int(reach[0]), int(j))
-    groups: Dict[int, List[int]] = {}
-    for j in range(n_ext):
-        groups.setdefault(uf.find(j), []).append(j)
-    return sorted((tuple(sorted(g)) for g in groups.values()),
-                  key=lambda g: g[0])
+    comp = _component_labels(scenario.wifi_rates > MIN_USABLE_RATE,
+                             circuits)
+    return [tuple(np.flatnonzero(comp == c).tolist())
+            for c in np.unique(comp).tolist()]
 
 
 def split_segments(scenario: Scenario,
@@ -144,32 +129,37 @@ def split_segments(scenario: Scenario,
     :data:`~repro.core.problem.UNASSIGNED` by
     :func:`scatter_assignment`.
 
+    The reachability mask is computed once; components and the
+    user→segment map both derive from it with array operations.  A
+    segment spanning the whole building reuses ``scenario`` itself.
+
     Returns:
         Segments in canonical order (by smallest extender index).
     """
-    components = coupling_components(scenario, circuits)
-    ext_to_comp = {j: c for c, comp in enumerate(components)
-                   for j in comp}
-    comp_users: List[List[int]] = [[] for _ in components]
-    for user in range(scenario.n_users):
-        reach = scenario.reachable(user)
-        if reach.size:
-            comp_users[ext_to_comp[int(reach[0])]].append(user)
+    mask = scenario.wifi_rates > MIN_USABLE_RATE
+    comp = _component_labels(mask, circuits)
     segments: List[Segment] = []
-    for c, extenders in enumerate(components):
-        users = comp_users[c]
-        ext_idx = np.asarray(extenders, dtype=int)
-        user_idx = np.asarray(users, dtype=int)
-        wifi = scenario.wifi_rates[np.ix_(user_idx, ext_idx)]
-        caps = (None if scenario.capacities is None
-                else scenario.capacities[ext_idx])
-        ids = (None if scenario.user_ids is None
-               else scenario.user_ids[user_idx])
-        sub = Scenario(wifi_rates=wifi,
-                       plc_rates=scenario.plc_rates[ext_idx],
-                       capacities=caps, user_ids=ids)
-        segments.append(Segment(index=c, extenders=tuple(extenders),
-                                users=tuple(users), scenario=sub))
+    for c, label in enumerate(np.unique(comp).tolist()):
+        ext_idx = np.flatnonzero(comp == label)
+        # A user's reachable extenders all lie in one component, so
+        # hearing any extender of this one places the user here.
+        user_idx = np.flatnonzero(mask[:, ext_idx].any(axis=1))
+        if mask.shape == (user_idx.size, ext_idx.size):
+            # The segment is the whole building (the common case): its
+            # scenario is the building's own, no copy needed.
+            sub = scenario
+        else:
+            sub = Scenario(
+                wifi_rates=scenario.wifi_rates[np.ix_(user_idx, ext_idx)],
+                plc_rates=scenario.plc_rates[ext_idx],
+                capacities=(None if scenario.capacities is None
+                            else scenario.capacities[ext_idx]),
+                user_ids=(None if scenario.user_ids is None
+                          else scenario.user_ids[user_idx]))
+        segments.append(Segment(index=c,
+                                extenders=tuple(ext_idx.tolist()),
+                                users=tuple(user_idx.tolist()),
+                                scenario=sub))
     return segments
 
 

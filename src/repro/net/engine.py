@@ -54,9 +54,9 @@ class EngineCallStats:
             invocations plus Phase-II batched gain sweeps.
         batch_rows: total candidates scored across all batched
             evaluations.
-        delta_moves: single-move candidates scored incrementally by a
-            :class:`DeltaEvaluator` (only the touched cells were
-            recomputed).
+        delta_moves: single-user moves scored or committed
+            incrementally by a :class:`DeltaEvaluator` (only the touched
+            cells were recomputed).
     """
 
     scalar_calls: int = 0
@@ -338,7 +338,10 @@ class DeltaEvaluator:
     O(n_users · n_extenders) WiFi pass it replaces).
 
     The cache is seeded by one full scalar pass at construction (or
-    validated against a batch row via :meth:`from_batch`); the
+    validated against a batch row via :meth:`from_batch`).  The seed may
+    be partial: any assignment :func:`evaluate` scores, unassigned users
+    included, is accepted, so a chain of moves can start from nobody
+    attached.  The
     :meth:`reconcile` check recomputes everything from scratch and
     fails loudly on cache drift, which the differential test wall
     exercises on random move sequences.
@@ -355,7 +358,8 @@ class DeltaEvaluator:
         self._rates = np.asarray(scenario.wifi_rates, dtype=float)
         self._plc_rates = np.asarray(scenario.plc_rates, dtype=float)
         self._plc_mode = plc_mode
-        self._assignment = validate_assignment(scenario, assignment).copy()
+        self._assignment = validate_assignment(
+            scenario, assignment, require_complete=False).copy()
         # cell_throughputs rejects members with non-positive rates, so
         # from here on per-move validation narrows to the moved user.
         self._wifi = cell_throughputs(self._rates, self._assignment,
@@ -408,10 +412,10 @@ class DeltaEvaluator:
         every move before it lands, so no per-member check is needed on
         this per-move hot path.
         """
-        members = np.flatnonzero(self._assignment == j)
+        members = (self._assignment == j).nonzero()[0]
         if members.size == 0:
             return 0.0
-        return members.size / float(np.sum(1.0 / self._rates[members, j]))
+        return members.size / float((1.0 / self._rates[members, j]).sum())
 
     def _check_dest(self, user: int, dest: int) -> None:
         if dest != UNASSIGNED and self._rates[user, dest] <= _RATE_EPS:
@@ -453,6 +457,7 @@ class DeltaEvaluator:
         if dest == src:
             return self._aggregate
         self._check_dest(user, dest)
+        _record(delta=1)
         self._assignment[user] = dest
         for j in (src, dest):
             if j != UNASSIGNED:

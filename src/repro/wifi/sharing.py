@@ -86,15 +86,15 @@ def cell_throughputs(wifi_rates: np.ndarray,
         raise ValueError("assignment length must equal the number of users")
     out = np.zeros(n_extenders, dtype=float)
     for j in range(n_extenders):
-        members = np.flatnonzero(assign == j)
+        members = (assign == j).nonzero()[0]
         if members.size == 0:
             continue
         member_rates = rates[members, j]
-        if np.any(member_rates <= _EPS):
+        if (member_rates <= _EPS).any():
             raise ValueError(
                 f"user(s) {members[member_rates <= _EPS].tolist()} assigned "
                 f"to extender {j} with non-positive WiFi rate")
-        out[j] = members.size / float(np.sum(1.0 / member_rates))
+        out[j] = members.size / float((1.0 / member_rates).sum())
     return out
 
 

@@ -140,6 +140,89 @@ class TestDeltaEvaluatorDifferential:
         assert got.aggregate == ref.aggregate
 
 
+class TestDeltaEvaluatorPartialSeeds:
+    """A seed may leave users unassigned, exactly as :func:`evaluate`
+    accepts; moves may attach users from UNASSIGNED."""
+
+    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
+    @pytest.mark.parametrize("plc_mode", PLC_MODES)
+    def test_partial_seed_and_attaches_match_full_evaluate(self, seed,
+                                                           plc_mode):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng, n_users=20, n_extenders=6,
+                                   reachable_prob=0.8)
+        assignment = np.array([
+            UNASSIGNED if rng.random() < 0.4
+            else int(rng.choice(scenario.reachable(u)))
+            for u in range(scenario.n_users)])
+        assignment[0] = UNASSIGNED  # never vacuously complete
+        ev = DeltaEvaluator(scenario, assignment, plc_mode=plc_mode)
+        assert ev.aggregate == evaluate(scenario, assignment,
+                                        plc_mode=plc_mode).aggregate
+        working = assignment.copy()
+        attaches = 0
+        for _ in range(60):
+            idle = np.flatnonzero(working == UNASSIGNED)
+            if idle.size and rng.random() < 0.5:
+                user = int(rng.choice(idle))
+            else:
+                user = int(rng.integers(scenario.n_users))
+            if rng.random() < 0.15:
+                dest = UNASSIGNED
+            else:
+                dest = int(rng.choice(scenario.reachable(user)))
+            moved = working.copy()
+            moved[user] = dest
+            want = evaluate(scenario, moved, plc_mode=plc_mode).aggregate
+            assert ev.score_move(user, dest) == want
+            attaches += int(working[user] == UNASSIGNED
+                            and dest != UNASSIGNED)
+            assert ev.commit(user, dest) == want
+            working = moved
+        assert attaches > 0
+        np.testing.assert_array_equal(ev.assignment, working)
+        assert ev.reconcile() == 0.0
+
+    @pytest.mark.parametrize("plc_mode", PLC_MODES)
+    def test_all_unassigned_seed_attaches_everyone(self, plc_mode, rng):
+        """The fleet's epoch 0: nobody attached, then one commit per
+        user in user order."""
+        scenario = random_scenario(rng, n_users=15, n_extenders=4,
+                                   reachable_prob=0.7)
+        working = np.full(scenario.n_users, UNASSIGNED, dtype=int)
+        ev = DeltaEvaluator(scenario, working, plc_mode=plc_mode)
+        assert ev.aggregate == evaluate(scenario, working,
+                                        plc_mode=plc_mode).aggregate
+        for user in range(scenario.n_users):
+            working[user] = int(rng.choice(scenario.reachable(user)))
+            got = ev.commit(user, int(working[user]))
+            assert got == evaluate(scenario, working,
+                                   plc_mode=plc_mode).aggregate
+        assert ev.reconcile() == 0.0
+
+    def test_seed_rejects_what_evaluate_rejects(self, rng):
+        scenario = random_scenario(rng, n_users=6, n_extenders=3,
+                                   reachable_prob=0.5)
+        user = int(np.flatnonzero(
+            (scenario.wifi_rates == 0.0).any(axis=1))[0])
+        bad = np.full(scenario.n_users, UNASSIGNED, dtype=int)
+        bad[user] = int(np.flatnonzero(scenario.wifi_rates[user] == 0.0)[0])
+        with pytest.raises(ValueError, match="unreachable"):
+            evaluate(scenario, bad)
+        with pytest.raises(ValueError, match="unreachable"):
+            DeltaEvaluator(scenario, bad)
+
+    def test_commit_counts_a_delta_move(self, rng):
+        scenario = random_scenario(rng, n_users=8, n_extenders=3)
+        ev = DeltaEvaluator(scenario,
+                            np.full(8, UNASSIGNED, dtype=int))
+        with count_engine_calls() as stats:
+            ev.commit(0, 1)
+            ev.commit(0, 1)  # no-op: already there
+        assert stats.delta_moves == 1
+        assert stats.scalar_calls == 0
+
+
 class TestPhase2DeltaDifferential:
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
     @pytest.mark.parametrize("n_users,n_ext", [(10, 3), (24, 6),

@@ -157,6 +157,18 @@ class TestW003ScalarEvalInLoop:
         assert codes(src, path="experiments/module.py") == []
         assert codes(src, path="src/repro/sim/module.py") == ["W003"]
 
+    def test_fires_in_fleet(self):
+        # The service's parent-side compose runs per building per
+        # epoch: a per-directive scalar re-score there is a hot loop.
+        src = """
+        def compose(scenario, working, moves):
+            for user, dest in moves:
+                working[user] = dest
+                moved = evaluate(scenario, working).aggregate
+        """
+        assert codes(src, path="src/repro/fleet/service.py") == ["W003"]
+        assert codes(src, path="tests/test_fleet_service.py") == []
+
 
 class TestW004ReportMutation:
     def test_attribute_assignment_flagged(self):

@@ -201,14 +201,18 @@ class ScalarEvalInLoop(Rule):
     code = "W003"
     name = "scalar-eval-in-loop"
     description = ("scalar engine evaluate() inside a for/while loop in "
-                   "core/ or sim/ hot paths")
+                   "core/, sim/ or fleet/ hot paths")
     rationale = ("Scoring candidates one evaluate() call per iteration "
-                 "is the hot path PR 1 vectorized; use evaluate_batch "
-                 "(bit-identical by contract) or suppress with a "
-                 "justification if the loop is a reference oracle.")
+                 "is the hot path the batched engine vectorized; use "
+                 "evaluate_batch or a DeltaEvaluator (bit-identical by "
+                 "contract) or suppress with a justification if the "
+                 "loop is a reference oracle.  fleet/ is in scope "
+                 "because the service's per-building compose runs in "
+                 "the parent process on every epoch.")
 
     def applies_to(self, path: str) -> bool:
-        return bool({"core", "sim"} & set(_path_parts(path)[:-1]))
+        return bool({"core", "sim", "fleet"}
+                    & set(_path_parts(path)[:-1]))
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         rule = self
