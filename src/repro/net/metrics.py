@@ -27,6 +27,12 @@ def jain_fairness(throughputs: Sequence[float]) -> float:
         return 0.0
     if np.any(x < 0):
         raise ValueError("throughputs must be non-negative")
+    # Rescale by a power of two so the peak lies in [0.5, 1): the index
+    # is scale-invariant, the rescale is exact for normal floats, and the
+    # squares can no longer underflow into subnormals (which pushed the
+    # index above 1 for tiny inputs) or overflow for huge ones.
+    _, exponent = np.frexp(np.max(x))
+    x = np.ldexp(x, -exponent)
     denom = x.size * float(np.sum(x * x))
     if denom == 0.0:
         return 0.0
