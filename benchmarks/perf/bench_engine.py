@@ -1,4 +1,4 @@
-"""Engine and runner micro-benchmarks (scalar vs batch, serial vs parallel).
+"""Engine, search and runner micro-benchmarks.
 
 Times the throughput-engine hot path and the Monte-Carlo trial runner on
 pinned seeds and writes ``benchmarks/perf/BENCH_engine.json``:
@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.core.baselines import greedy_assignment
 from repro.core.wolt import solve_wolt
-from repro.net.engine import DeltaEvaluator, evaluate, evaluate_batch
+from repro.net.engine import (DeltaEvaluator, count_engine_calls, evaluate,
+                              evaluate_batch)
 from repro.net.topology import enterprise_floor
 from repro.sim.checkpoint import atomic_write_text
 from repro.sim.runner import run_trials, shutdown_warm_pools
@@ -119,22 +120,33 @@ def bench_delta_eval(scenario, rng) -> dict:
     }
 
 
-def bench_solve_wolt(scenario) -> dict:
-    scalar_s = _best_of(lambda: solve_wolt(scenario, vectorized=False),
-                        repeats=3)
-    vector_s = _best_of(lambda: solve_wolt(scenario, vectorized=True),
-                        repeats=3)
-    return {"scalar_s": scalar_s, "vectorized_s": vector_s,
-            "speedup": scalar_s / vector_s}
+def _engine_calls(fn) -> dict:
+    with count_engine_calls() as stats:
+        fn()
+    return {"scalar_calls": stats.scalar_calls,
+            "batch_calls": stats.batch_calls,
+            "batch_rows": stats.batch_rows,
+            "delta_moves": stats.delta_moves}
 
 
-def bench_greedy(scenario) -> dict:
-    scalar_s = _best_of(lambda: greedy_assignment(scenario, batched=False),
-                        repeats=3)
-    batch_s = _best_of(lambda: greedy_assignment(scenario, batched=True),
-                       repeats=3)
-    return {"scalar_s": scalar_s, "batched_s": batch_s,
-            "speedup": scalar_s / batch_s}
+def bench_search_kernels(scenario) -> dict:
+    """Absolute solve times and exact engine-call counts of the searches.
+
+    Times the production WOLT solve and the §V-B Greedy baseline
+    (best of 5) and counts the engine calls each makes.  The counts are
+    deterministic, so any change to how candidates are scored shows up
+    as an exact mismatch.
+    """
+    def wolt():
+        solve_wolt(scenario)
+
+    def greedy():
+        greedy_assignment(scenario)
+
+    return {"solve_wolt_s": _best_of(wolt),
+            "greedy_s": _best_of(greedy),
+            "solve_wolt_calls": _engine_calls(wolt),
+            "greedy_calls": _engine_calls(greedy)}
 
 
 def bench_run_trials() -> dict:
@@ -180,8 +192,7 @@ def main() -> dict:
         },
         "evaluate_scalar_vs_batch": bench_evaluate(scenario, rng),
         "delta_eval_vs_full_rescore": bench_delta_eval(scenario, rng),
-        "solve_wolt_scalar_vs_vectorized": bench_solve_wolt(scenario),
-        "greedy_scalar_vs_batched": bench_greedy(scenario),
+        "search_kernels": bench_search_kernels(scenario),
         "run_trials_serial_vs_parallel": bench_run_trials(),
     }
     atomic_write_text(OUTPUT, json.dumps(report, indent=2) + "\n")

@@ -1,10 +1,9 @@
-"""Perf ratchet: fail when a recorded speedup regresses.
+"""Perf ratchet: fail when a recorded speedup or search time regresses.
 
 Reads the committed ``benchmarks/perf/BENCH_engine.json`` (regenerate
 with ``PYTHONPATH=src python -m benchmarks.perf.bench_engine``) and
 ``benchmarks/perf/BENCH_fleet.json`` (``... -m
-benchmarks.perf.bench_fleet``) and asserts two kinds of bound on every
-``speedup`` field:
+benchmarks.perf.bench_fleet``) and asserts three kinds of bound:
 
 * **absolute floors** — the claims this repo makes in
   docs/PERFORMANCE.md must hold on the recorded numbers: delta-eval
@@ -17,7 +16,14 @@ benchmarks.perf.bench_fleet``) and asserts two kinds of bound on every
   best level this repo has already demonstrated (the ``RATCHET``
   table).  A drop beyond 10% is a regression and fails the build; when
   an optimization legitimately advances a number, re-pin its baseline
-  here in the same PR that regenerates the JSON.
+  here in the same PR that regenerates the JSON;
+* **the search kernels** — the production WOLT solve and Greedy
+  baseline on the Fig. 6 floor must each take at most
+  ``SEARCH_SLOWDOWN`` times the time pinned in ``SEARCH_TIMES_S``, and
+  must make exactly the engine calls pinned in ``SEARCH_CALLS``.
+  Per-candidate scalar scoring measured >= 3.3x slower than the
+  production paths, so falling back to it fails the time gate, and any
+  change to how candidates are scored fails the count gate.
 
 CI runs this in the ``perf-smoke`` job *after* regenerating the JSON
 on the runner, so the bounds are checked against fresh measurements,
@@ -48,8 +54,22 @@ TOLERANCE = 0.10
 RATCHET = {
     "evaluate_scalar_vs_batch": 35.0,
     "delta_eval_vs_full_rescore": 6.0,
-    "solve_wolt_scalar_vs_vectorized": 3.0,
-    "greedy_scalar_vs_batched": 5.5,
+}
+
+#: Best-of-5 wall times (seconds) of the ``search_kernels`` section as
+#: committed in BENCH_engine.json, recorded on a 2-cpu x86_64 machine.
+#: Re-pin together with the JSON when the search legitimately changes.
+SEARCH_TIMES_S = {"solve_wolt_s": 0.213, "greedy_s": 0.0648}
+
+#: Fail when a search takes more than this multiple of its pinned time.
+SEARCH_SLOWDOWN = 2.0
+
+#: Exact ``count_engine_calls()`` totals of one solve on the Fig. 6 floor.
+SEARCH_CALLS = {
+    "solve_wolt_calls": {"scalar_calls": 1, "batch_calls": 328,
+                         "batch_rows": 6540, "delta_moves": 5886},
+    "greedy_calls": {"scalar_calls": 0, "batch_calls": 124,
+                     "batch_rows": 1858, "delta_moves": 0},
 }
 
 #: Absolute floor on delta-eval per-move speedup vs a full re-score.
@@ -77,7 +97,7 @@ def bench() -> dict:
 
 
 def test_json_has_every_ratcheted_section(bench: dict) -> None:
-    missing = [s for s in RATCHET if s not in bench]
+    missing = [s for s in (*RATCHET, "search_kernels") if s not in bench]
     assert not missing, (
         f"BENCH_engine.json lacks sections {missing}; regenerate it "
         f"with the current bench_engine.py")
@@ -93,6 +113,21 @@ def test_speedup_ratchet(bench: dict, section: str) -> None:
         f"{section}: speedup {current:.2f}x regressed more than "
         f"{TOLERANCE:.0%} below the {RATCHET[section]:.1f}x ratchet "
         f"(floor {floor:.2f}x)")
+
+
+@pytest.mark.parametrize("metric", sorted(SEARCH_TIMES_S))
+def test_search_kernel_time(bench: dict, metric: str) -> None:
+    current = bench["search_kernels"][metric]
+    bound = SEARCH_SLOWDOWN * SEARCH_TIMES_S[metric]
+    assert current <= bound, (
+        f"search_kernels.{metric} = {current:.3f}s exceeds "
+        f"{SEARCH_SLOWDOWN:.0f}x the pinned {SEARCH_TIMES_S[metric]:.3f}s "
+        f"(recorded on {bench['meta']['cpus']} cpus)")
+
+
+@pytest.mark.parametrize("solver", sorted(SEARCH_CALLS))
+def test_search_kernel_engine_calls(bench: dict, solver: str) -> None:
+    assert bench["search_kernels"][solver] == SEARCH_CALLS[solver]
 
 
 def test_delta_eval_absolute_floor(bench: dict) -> None:

@@ -7,7 +7,8 @@ hit them — ``wolt sim``, then ``wolt serve``, then ``wolt record`` →
 
 1. start a checkpointed run via ``python -m repro.cli``;
 2. SIGKILL it once a few trials/epochs are journaled (no warning, no
-   cleanup);
+   cleanup) — the whole process group, so its pool workers die with
+   it instead of outliving the check;
 3. corrupt the journal tail with a torn partial record, as a crash
    mid-``write`` would;
 4. resume with ``--resume`` (different worker count, to prove results
@@ -75,6 +76,13 @@ def _wolt(*extra: str, **kwargs):
     return _wolt_cmd(*SIM_ARGS, *extra, **kwargs)
 
 
+def _kill_group(victim: subprocess.Popen) -> None:
+    """SIGKILL a victim started with ``start_new_session=True`` and
+    every pool worker it forked (no handler, no flush, no goodbye)."""
+    os.killpg(victim.pid, signal.SIGKILL)
+    victim.wait(timeout=60)
+
+
 def _wait_for_journal(path: Path, min_lines: int = MIN_LINES_BEFORE_KILL,
                       deadline_s: float = 120.0) -> None:
     start = time.monotonic()
@@ -102,12 +110,12 @@ def check_serve(extra: tuple = (), label: str = "serve") -> Path:
 
     # 1-2. Start the epoch loop and SIGKILL it mid-run.
     victim = _wolt_cmd(*base, "--epochs", str(SERVE_EPOCHS),
-                       "--journal", str(interrupted), "--workers", "2")
+                       "--journal", str(interrupted), "--workers", "2",
+                       start_new_session=True)
     try:
         _wait_for_journal(interrupted, min_lines=3)
     finally:
-        victim.kill()  # SIGKILL: no handler, no flush, no goodbye
-        victim.wait(timeout=60)
+        _kill_group(victim)
     journaled = interrupted.read_bytes().count(b'"kind":"record"')
     print(f"killed serve with {journaled} epochs journaled")
     if journaled >= SERVE_EPOCHS:
@@ -153,12 +161,12 @@ def check_sim() -> None:
     uninterrupted = workdir / "uninterrupted.jsonl"
 
     # 1-2. Start a checkpointed sweep and SIGKILL it mid-run.
-    victim = _wolt("--checkpoint", str(interrupted), "--workers", "2")
+    victim = _wolt("--checkpoint", str(interrupted), "--workers", "2",
+                   start_new_session=True)
     try:
         _wait_for_journal(interrupted)
     finally:
-        victim.kill()  # SIGKILL: no handler, no flush, no goodbye
-        victim.wait(timeout=60)
+        _kill_group(victim)
     n_before = interrupted.read_bytes().count(b"\n")
     print(f"killed sweep with {n_before} journal lines on disk")
 

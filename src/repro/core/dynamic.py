@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..net.engine import DeltaEvaluator, evaluate, evaluate_batch
+from ..net.engine import DeltaEvaluator, evaluate
 from .problem import UNASSIGNED, Scenario
 from .wolt import solve_wolt
 
@@ -64,15 +64,11 @@ class IncrementalWolt:
             aggregate by at least this much.
         max_moves: optional cap on moves per reconfiguration.
         plc_mode: PLC sharing law for evaluation and move scoring.
-        delta: score candidate moves with a
-            :class:`~repro.net.engine.DeltaEvaluator` (only the two
-            cells a move touches are recomputed; default) instead of
-            tiling the working assignment into a full
-            :func:`~repro.net.engine.evaluate_batch`.  The delta scores
-            are bit-identical to scalar :func:`~repro.net.engine.evaluate`
-            (the batch kernel agrees to 1e-9), and the differential
-            wall asserts the selected moves match on seeded churn
-            sequences.  ``False`` keeps the batched oracle path.
+            Candidate moves are scored with a
+            :class:`~repro.net.engine.DeltaEvaluator`, which recomputes
+            only the two cells a move touches and is bit-identical to a
+            scalar :func:`~repro.net.engine.evaluate` of the moved
+            assignment.
         warm_start: seed every WOLT re-solve's Phase II with the
             *current* association as starting basis (see
             :func:`repro.core.wolt.solve_wolt`).  Off by default: the
@@ -86,7 +82,6 @@ class IncrementalWolt:
                  min_gain_mbps: float = 0.0,
                  max_moves: Optional[int] = None,
                  plc_mode: str = "redistribute",
-                 delta: bool = True,
                  warm_start: bool = False,
                  guard: "Optional[DecisionGuard]" = None) -> None:
         if min_gain_mbps < 0:
@@ -99,7 +94,6 @@ class IncrementalWolt:
         self.min_gain_mbps = min_gain_mbps
         self.max_moves = max_moves
         self.plc_mode = plc_mode
-        self.delta = delta
         self.warm_start = warm_start
         self.guard = guard
         #: user id -> WiFi rate row (length n_extenders)
@@ -183,35 +177,19 @@ class IncrementalWolt:
                    and target.assignment[idx] != UNASSIGNED}
         applied: List[Tuple[int, int, int]] = []
         working = current.copy()
-        evaluator = (DeltaEvaluator(scenario, working,
-                                    plc_mode=self.plc_mode)
-                     if self.delta and pending else None)
+        evaluator = DeltaEvaluator(scenario, working, plc_mode=self.plc_mode)
         best = before
         while pending:
             if (self.max_moves is not None
                     and len(applied) >= self.max_moves):
                 break
-            idxs = sorted(pending)
-            if evaluator is not None:
-                # Delta scoring: each candidate recomputes only the two
-                # cells its move touches (bit-identical to a scalar
-                # evaluate of the moved assignment).
-                aggregates: "Sequence[float]" = [
-                    evaluator.score_move(idx, int(target.assignment[idx]))
-                    for idx in idxs]
-            else:
-                # Score every pending move in one batched engine call
-                # (bit-identical to the scalar loop by the PR-1
-                # contract).
-                batch = np.tile(working, (len(idxs), 1))
-                batch[np.arange(len(idxs)), idxs] = \
-                    target.assignment[idxs]
-                aggregates = evaluate_batch(
-                    scenario, batch, plc_mode=self.plc_mode,
-                    require_complete=True).aggregates
-            gains = [(float(agg) - best, idx)
-                     for agg, idx in zip(aggregates, idxs)]
-            gain, idx = max(gains)
+            # Each candidate recomputes only the two cells its move
+            # touches (bit-identical to a scalar evaluate of the moved
+            # assignment).
+            gain, idx = max(
+                (evaluator.score_move(idx, int(target.assignment[idx]))
+                 - best, idx)
+                for idx in sorted(pending))
             # The hysteresis bar: at a positive threshold, stop as soon
             # as the best remaining move falls short.  At the zero
             # threshold the class contract is "vanilla epoch-boundary
@@ -220,19 +198,14 @@ class IncrementalWolt:
             # the loop still terminates).
             if self.min_gain_mbps > 0 and gain < self.min_gain_mbps:
                 break
-            moved_agg = float(aggregates[idxs.index(idx)])
             applied.append((ids[idx], int(working[idx]),
                             int(target.assignment[idx])))
             working[idx] = target.assignment[idx]
-            if evaluator is not None:
-                evaluator.commit(idx, int(target.assignment[idx]))
-                # Re-sync from the evaluator's committed aggregate:
-                # ``best += gain`` would accumulate one rounding error
-                # per move and the greedy threshold would drift away
-                # from the true baseline over a long churn sequence.
-                best = evaluator.aggregate
-            else:
-                best = moved_agg
+            # Re-sync from the evaluator's committed aggregate:
+            # ``best += gain`` would accumulate one rounding error per
+            # move and the greedy threshold would drift away from the
+            # true baseline over a long churn sequence.
+            best = evaluator.commit(idx, int(target.assignment[idx]))
             pending.discard(idx)
         for user_id, _, new_j in applied:
             self.assignment[user_id] = new_j

@@ -48,15 +48,15 @@ class EngineCallStats:
 
     Attributes:
         scalar_calls: scalar evaluations — :func:`evaluate` invocations
-            plus per-candidate scalar scoring inside the Phase-II
-            reference loops.
+            plus any candidate a reference oracle scores one at a time.
         batch_calls: vectorized evaluations — :func:`evaluate_batch`
             invocations plus Phase-II batched gain sweeps.
         batch_rows: total candidates scored across all batched
             evaluations.
         delta_moves: single-user moves scored or committed
             incrementally by a :class:`DeltaEvaluator` (only the touched
-            cells were recomputed).
+            cells were recomputed), plus Phase-II insertion gains
+            refreshed one column at a time.
     """
 
     scalar_calls: int = 0

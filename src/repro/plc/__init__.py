@@ -9,8 +9,7 @@ from .mac import (Ieee1901CsmaSimulator, Ieee1901Parameters,
                   Ieee1901Result, TdmaScheduler)
 from .sharing import (PLC_MODES, BatchPlcAllocation, PlcAllocation,
                       allocate_backhaul, allocate_backhaul_batch,
-                      max_min_time_shares, max_min_time_shares_batch,
-                      time_fair_throughputs)
+                      max_min_time_shares, max_min_time_shares_batch)
 
 __all__ = [
     "PowerlineNetwork", "random_building", "Av2Phy", "DEFAULT_AV2",
@@ -18,7 +17,6 @@ __all__ = [
     "TdmaScheduler", "PLC_MODES", "PlcAllocation", "BatchPlcAllocation",
     "allocate_backhaul", "allocate_backhaul_batch",
     "max_min_time_shares", "max_min_time_shares_batch",
-    "time_fair_throughputs",
     "NoiseProcess", "TimeVaryingPlc",
     "optimal_tdma_weights", "QosClass", "class_weighted_schedule",
 ]

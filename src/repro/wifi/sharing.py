@@ -16,54 +16,16 @@ per-bit airtime.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "cell_throughput",
-    "per_user_throughput",
     "cell_throughputs",
     "cell_throughputs_batch",
-    "anomaly_ratio",
 ]
 
 _EPS = 1e-12
-
-
-def cell_throughput(rates: Iterable[float]) -> float:
-    """Aggregate WiFi throughput of one extender cell, Eq. (1).
-
-    Args:
-        rates: WiFi PHY rates ``r_ij`` (Mbps) of the users attached to the
-            extender.  An empty iterable yields zero (idle cell).
-
-    Returns:
-        The cell's saturated downlink throughput in Mbps.
-
-    Raises:
-        ValueError: if any rate is non-positive (a user cannot be attached
-            over a dead link).
-    """
-    rate_list = [float(r) for r in rates]
-    if not rate_list:
-        return 0.0
-    if any(r <= 0 for r in rate_list):
-        raise ValueError("attached users must have positive WiFi rates")
-    airtime_per_bit = sum(1.0 / r for r in rate_list)
-    return len(rate_list) / airtime_per_bit
-
-
-def per_user_throughput(rates: Iterable[float]) -> float:
-    """Common per-user throughput inside one cell (throughput-fair share).
-
-    Every attached user receives the same long-term throughput, the cell
-    throughput divided by the user count.
-    """
-    rate_list = [float(r) for r in rates]
-    if not rate_list:
-        return 0.0
-    return cell_throughput(rate_list) / len(rate_list)
 
 
 def cell_throughputs(wifi_rates: np.ndarray,
@@ -150,17 +112,3 @@ def cell_throughputs_batch(wifi_rates: np.ndarray,
     busy = counts > 0
     out[busy] = counts[busy] / inv_sums[busy]
     return out
-
-
-def anomaly_ratio(fast_rate: float, slow_rate: float) -> float:
-    """Throughput loss factor a fast user suffers from one slow peer.
-
-    With two users at rates ``fast`` and ``slow`` sharing a cell, each gets
-    ``1 / (1/fast + 1/slow)``; in isolation the fast user would get
-    ``fast``.  The returned ratio (``<= 1``) quantifies the 802.11
-    performance anomaly used in the Fig. 2a experiment.
-    """
-    if fast_rate <= 0 or slow_rate <= 0:
-        raise ValueError("rates must be positive")
-    shared = 1.0 / (1.0 / fast_rate + 1.0 / slow_rate)
-    return shared / fast_rate

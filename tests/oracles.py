@@ -1,0 +1,315 @@
+"""Readable reference oracles for the production search kernels.
+
+Production keeps one path per solver: Phase II inserts users over an
+incrementally maintained gains matrix and relocates them with one
+batched gain vector each, the greedy baselines score every arrival's
+candidates in one :func:`~repro.net.engine.evaluate_batch` call, and
+:class:`~repro.core.dynamic.IncrementalWolt` scores moves with a
+:class:`~repro.net.engine.DeltaEvaluator`.  The functions here make the
+same sequence of decisions the plain way, one candidate at a time, so
+the differential walls (``test_delta_eval.py``,
+``test_batching_acceptance.py``, ``test_dynamic.py``) can assert that
+production matches them bit for bit.
+
+The module also holds the closed-form sharing-law helpers only tests
+use: the single-cell forms of Eq. (1) and the plain time-fair PLC law
+of Eq. (2).  Production evaluates both through the whole-assignment
+kernels in :mod:`repro.wifi.sharing` and :mod:`repro.plc.sharing`.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.dynamic import IncrementalWolt, ReconfigureOutcome
+from repro.core.guard import DecisionGuard
+from repro.core.phase1 import phase1_utilities, solve_phase1
+from repro.core.phase2 import (Phase2Result, _CellState, _try_swaps,
+                               wifi_objective)
+from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
+from repro.core.wolt import WoltResult, solve_wolt
+from repro.net.engine import (ThroughputReport, _record, evaluate,
+                              evaluate_batch)
+
+# ----------------------------------------------------------------------
+# Sharing laws in closed form
+
+
+def cell_throughput(rates: Iterable[float]) -> float:
+    """Aggregate WiFi throughput of one extender cell, Eq. (1).
+
+    ``|N_j| / sum(1 / r_ij)`` over the attached users' PHY rates; an
+    empty cell yields zero.  Raises ``ValueError`` on a non-positive
+    rate (a user cannot be attached over a dead link).
+    """
+    rate_list = [float(r) for r in rates]
+    if not rate_list:
+        return 0.0
+    if any(r <= 0 for r in rate_list):
+        raise ValueError("attached users must have positive WiFi rates")
+    return len(rate_list) / sum(1.0 / r for r in rate_list)
+
+
+def per_user_throughput(rates: Iterable[float]) -> float:
+    """Common per-user throughput inside one throughput-fair cell."""
+    rate_list = [float(r) for r in rates]
+    if not rate_list:
+        return 0.0
+    return cell_throughput(rate_list) / len(rate_list)
+
+
+def anomaly_ratio(fast_rate: float, slow_rate: float) -> float:
+    """Share of its isolation rate a fast user keeps next to one slow peer.
+
+    Two users sharing a cell each get ``1 / (1/fast + 1/slow)``; alone
+    the fast user would get ``fast``.  The ratio (``<= 1``) is the
+    802.11 performance anomaly of the Fig. 2a experiment.
+    """
+    if fast_rate <= 0 or slow_rate <= 0:
+        raise ValueError("rates must be positive")
+    return (1.0 / (1.0 / fast_rate + 1.0 / slow_rate)) / fast_rate
+
+
+def time_fair_throughputs(plc_rates: Sequence[float],
+                          active: Optional[Sequence[bool]] = None
+                          ) -> np.ndarray:
+    """Plain time-fair PLC throughputs, Eq. (2): ``c_j / A`` if active.
+
+    ``A`` is the number of active extenders (all of them when ``active``
+    is omitted); inactive extenders get zero.
+    """
+    rates = np.asarray(plc_rates, dtype=float)
+    if np.any(rates < 0):
+        raise ValueError("PLC rates must be non-negative")
+    mask = (np.ones(rates.shape, dtype=bool) if active is None
+            else np.asarray(active, dtype=bool))
+    if mask.shape != rates.shape:
+        raise ValueError("active mask must match plc_rates shape")
+    out = np.zeros_like(rates)
+    if mask.any():
+        out[mask] = rates[mask] / int(mask.sum())
+    return out
+
+
+# ----------------------------------------------------------------------
+# Phase II and WOLT
+
+
+def _gain_of_adding(state: _CellState, user: int, j: int) -> float:
+    """Change in ``sum_j T_WiFi_j`` if ``user`` joins extender ``j``.
+
+    Counted as one scalar engine call, so ``count_engine_calls`` sees
+    what scoring candidates one at a time costs.
+    """
+    _record(scalar=1)
+    r = state.scenario.wifi_rates[user, j]
+    if r <= MIN_USABLE_RATE:
+        return -np.inf
+    new = (state.counts[j] + 1) / (state.inv_rate_sums[j] + 1.0 / r)
+    return new - state.throughput(j)
+
+
+def phase2_reference(scenario: Scenario, phase1_assignment: Sequence[int],
+                     guard: Optional[DecisionGuard] = None
+                     ) -> Phase2Result:
+    """Phase II scoring every (user, extender) candidate one at a time.
+
+    Greedy insertion places the first strictly best pair in a scan over
+    pending users then reachable extenders; each local-search round
+    relocates every movable user to its first strictly better extender
+    (by more than ``1e-12``) and then tries pairwise swaps.  With a
+    ``guard``, anchors are repaired first, unplaceable users are left
+    UNASSIGNED and the result is validated, as in
+    :func:`repro.core.phase2.solve_phase2`.
+    """
+    assignment = np.array(phase1_assignment, dtype=int)
+    if guard is not None:
+        assignment, _ = guard.repair_assignment(
+            scenario, assignment, source="phase2-anchors",
+            require_complete=False)
+    anchors = assignment.copy()
+    state = _CellState(scenario, assignment)
+    remaining = list(np.flatnonzero(assignment == UNASSIGNED))
+
+    while remaining:
+        best: Optional[Tuple[float, int, int]] = None
+        for user in remaining:
+            for j in scenario.reachable(user):
+                if not state.room(j):
+                    continue
+                gain = _gain_of_adding(state, user, int(j))
+                if best is None or gain > best[0]:
+                    best = (gain, user, int(j))
+        if best is None:
+            if guard is not None:
+                break
+            raise ValueError(
+                f"users {remaining} cannot be attached to any extender")
+        _, user, j = best
+        state.add(user, j)
+        assignment[user] = j
+        remaining.remove(user)
+
+    movable = np.flatnonzero((anchors == UNASSIGNED)
+                             & (assignment != UNASSIGNED))
+    rounds = 0
+    improved = True
+    while improved and rounds < 100:  # solve_phase2's default max_rounds
+        improved = False
+        rounds += 1
+        for user in movable:
+            user = int(user)
+            cur = int(assignment[user])
+            state.remove(user, cur)
+            best_j, best_gain = cur, _gain_of_adding(state, user, cur)
+            for j in scenario.reachable(user):
+                j = int(j)
+                if j == cur or not state.room(j):
+                    continue
+                gain = _gain_of_adding(state, user, j)
+                if gain > best_gain + 1e-12:
+                    best_j, best_gain = j, gain
+            state.add(user, best_j)
+            assignment[user] = best_j
+            improved |= best_j != cur
+        if _try_swaps(scenario, state, assignment, movable):
+            improved = True
+
+    objective = state.total()
+    if guard is not None:
+        assignment, report = guard.repair_assignment(
+            scenario, assignment, source="phase2", require_complete=True)
+        if report.repaired_users:
+            objective = wifi_objective(scenario, assignment)
+    return Phase2Result(assignment=assignment, objective=objective,
+                        iterations=rounds, was_integral=True)
+
+
+def wolt_reference(scenario: Scenario) -> WoltResult:
+    """Full WOLT with :func:`phase2_reference` as its Phase II."""
+    phase1 = solve_phase1(scenario, phase1_utilities(scenario))
+    phase2 = phase2_reference(scenario, phase1.assignment)
+    report = evaluate(scenario, phase2.assignment, require_complete=True)
+    return WoltResult(assignment=phase2.assignment, phase1=phase1,
+                      phase2=phase2, report=report)
+
+
+# ----------------------------------------------------------------------
+# Greedy baselines
+
+
+def _greedy_reference(scenario: Scenario,
+                      arrival_order: Optional[Sequence[int]],
+                      plc_mode: str, guard: Optional[DecisionGuard],
+                      source: str,
+                      score: Callable[[ThroughputReport, int], float]
+                      ) -> np.ndarray:
+    """Online greedy with one scalar ``evaluate`` per candidate extender.
+
+    Each arrival takes the reachable extender with room that maximizes
+    ``(score, WiFi rate)``; the first strictly greater key wins.
+    """
+    order = range(scenario.n_users) if arrival_order is None \
+        else arrival_order
+    assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
+    counts = np.zeros(scenario.n_extenders, dtype=int)
+    for user in order:
+        user = int(user)
+        best_j, best_key = UNASSIGNED, None
+        for j in scenario.reachable(user):
+            j = int(j)
+            if counts[j] >= scenario.capacity_of(j):
+                continue
+            trial = assignment.copy()
+            trial[user] = j
+            report = evaluate(scenario, trial, plc_mode=plc_mode)
+            key = (score(report, user), scenario.wifi_rates[user, j])
+            if best_key is None or key > best_key:
+                best_key, best_j = key, j
+        if best_j == UNASSIGNED:
+            if guard is None:
+                raise ValueError(f"user {user} cannot be attached anywhere")
+            continue
+        assignment[user] = best_j
+        counts[best_j] += 1
+    if guard is not None:
+        assignment, _ = guard.repair_assignment(scenario, assignment,
+                                                source=source)
+    return assignment
+
+
+def greedy_reference(scenario: Scenario,
+                     arrival_order: Optional[Sequence[int]] = None,
+                     plc_mode: str = "redistribute",
+                     guard: Optional[DecisionGuard] = None) -> np.ndarray:
+    """§V-B Greedy: each arrival maximizes the network aggregate."""
+    return _greedy_reference(scenario, arrival_order, plc_mode, guard,
+                             "greedy", lambda report, _: report.aggregate)
+
+
+def selfish_greedy_reference(scenario: Scenario,
+                             arrival_order: Optional[Sequence[int]] = None,
+                             plc_mode: str = "redistribute",
+                             guard: Optional[DecisionGuard] = None
+                             ) -> np.ndarray:
+    """Selfish greedy: each arrival maximizes its own throughput."""
+    return _greedy_reference(
+        scenario, arrival_order, plc_mode, guard, "selfish",
+        lambda report, user: report.user_throughputs[user])
+
+
+# ----------------------------------------------------------------------
+# Incremental WOLT
+
+
+def reconfigure_reference(ctl: IncrementalWolt) -> ReconfigureOutcome:
+    """``ctl.reconfigure()`` scoring each round in one tiled batch.
+
+    Every round tiles the working assignment once per pending move,
+    scores the whole batch with :func:`~repro.net.engine.evaluate_batch`
+    and applies the best move while it clears the hysteresis bar.
+    Mutates ``ctl`` exactly as :meth:`IncrementalWolt.reconfigure` does.
+    """
+    scenario, ids = ctl._scenario()
+    if not ids:
+        return ReconfigureOutcome(moves=(), aggregate_before=0.0,
+                                  aggregate_after=0.0, wolt_aggregate=0.0)
+    current = np.array([ctl.assignment[uid] for uid in ids])
+    before = evaluate(scenario, current, plc_mode=ctl.plc_mode,
+                      require_complete=True).aggregate
+    target = solve_wolt(scenario, plc_mode=ctl.plc_mode,
+                        warm_start=current if ctl.warm_start else None,
+                        guard=ctl.guard)
+    pending = {idx for idx in range(len(ids))
+               if target.assignment[idx] != current[idx]
+               and target.assignment[idx] != UNASSIGNED}
+    applied: List[Tuple[int, int, int]] = []
+    working = current.copy()
+    best = before
+    while pending:
+        if ctl.max_moves is not None and len(applied) >= ctl.max_moves:
+            break
+        idxs = sorted(pending)
+        batch = np.tile(working, (len(idxs), 1))
+        batch[np.arange(len(idxs)), idxs] = target.assignment[idxs]
+        aggregates = evaluate_batch(scenario, batch, plc_mode=ctl.plc_mode,
+                                    require_complete=True).aggregates
+        gain, idx = max((float(agg) - best, idx)
+                        for agg, idx in zip(aggregates, idxs))
+        if ctl.min_gain_mbps > 0 and gain < ctl.min_gain_mbps:
+            break
+        applied.append((ids[idx], int(working[idx]),
+                        int(target.assignment[idx])))
+        working[idx] = target.assignment[idx]
+        best = float(aggregates[idxs.index(idx)])
+        pending.discard(idx)
+    for user_id, _, new_j in applied:
+        ctl.assignment[user_id] = new_j
+    ctl.total_moves += len(applied)
+    after = evaluate(scenario, working, plc_mode=ctl.plc_mode,
+                     require_complete=True).aggregate
+    return ReconfigureOutcome(moves=tuple(applied), aggregate_before=before,
+                              aggregate_after=after,
+                              wolt_aggregate=target.aggregate_throughput)

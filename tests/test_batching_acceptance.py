@@ -1,9 +1,9 @@
 """Acceptance: batching changes the cost of the search, not its answer.
 
-On the paper's Fig. 6 floor (15 extenders, ~124 users) the batched
-solvers must return bit-identical assignments to their scalar reference
-paths while issuing at least 5x fewer scalar engine calls (measured via
-:func:`repro.net.engine.count_engine_calls`).
+On the paper's Fig. 6 floor (15 extenders, ~124 users) the production
+solvers must return bit-identical assignments to the scalar reference
+oracles in ``tests/oracles.py`` while issuing at least 5x fewer scalar
+engine calls (measured via :func:`repro.net.engine.count_engine_calls`).
 """
 
 from __future__ import annotations
@@ -13,9 +13,14 @@ import pytest
 
 from repro.core.baselines import (greedy_assignment,
                                   selfish_greedy_assignment)
+from repro.core.guard import DecisionGuard
+from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
 from repro.net.engine import count_engine_calls
 from repro.net.topology import enterprise_floor
+
+from .oracles import (greedy_reference, selfish_greedy_reference,
+                      wolt_reference)
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +32,9 @@ def fig6_floor():
 class TestSolveWoltBatched:
     def test_bit_identical_with_5x_fewer_scalar_calls(self, fig6_floor):
         with count_engine_calls() as scalar_stats:
-            ref = solve_wolt(fig6_floor, vectorized=False)
+            ref = wolt_reference(fig6_floor)
         with count_engine_calls() as batched_stats:
-            got = solve_wolt(fig6_floor, vectorized=True)
+            got = solve_wolt(fig6_floor)
 
         assert np.array_equal(got.assignment, ref.assignment)
         assert got.phase2.objective == ref.phase2.objective
@@ -43,9 +48,10 @@ class TestSolveWoltBatched:
         for seed in (0, 7, 99):
             floor = enterprise_floor(15, 124,
                                      np.random.default_rng(seed))
-            ref = solve_wolt(floor, vectorized=False)
-            got = solve_wolt(floor, vectorized=True)
+            ref = wolt_reference(floor)
+            got = solve_wolt(floor)
             assert np.array_equal(got.assignment, ref.assignment), seed
+            assert got.phase2.objective == ref.phase2.objective
             assert got.report.aggregate == ref.report.aggregate
 
 
@@ -53,17 +59,41 @@ class TestBaselinesBatched:
     def test_greedy_bit_identical_with_5x_fewer_scalar_calls(
             self, fig6_floor):
         with count_engine_calls() as scalar_stats:
-            ref = greedy_assignment(fig6_floor, batched=False)
+            ref = greedy_reference(fig6_floor)
         with count_engine_calls() as batched_stats:
-            got = greedy_assignment(fig6_floor, batched=True)
+            got = greedy_assignment(fig6_floor)
 
         assert np.array_equal(got, ref)
         assert batched_stats.scalar_calls * 5 <= scalar_stats.scalar_calls
 
     def test_selfish_greedy_bit_identical(self, fig6_floor):
-        ref = selfish_greedy_assignment(fig6_floor, batched=False)
-        got = selfish_greedy_assignment(fig6_floor, batched=True)
+        ref = selfish_greedy_reference(fig6_floor)
+        got = selfish_greedy_assignment(fig6_floor)
         assert np.array_equal(got, ref)
+
+    def test_guarded_greedy_drops_deaf_users_like_oracle(self):
+        floor = enterprise_floor(15, 60, np.random.default_rng(3))
+        wifi = floor.wifi_rates.copy()
+        wifi[[4, 31], :] = 0.0  # two users hear nothing
+        deaf = Scenario(wifi_rates=wifi, plc_rates=floor.plc_rates)
+        for policy, oracle in ((greedy_assignment, greedy_reference),
+                               (selfish_greedy_assignment,
+                                selfish_greedy_reference)):
+            got = policy(deaf, guard=DecisionGuard())
+            assert np.array_equal(got, oracle(deaf, guard=DecisionGuard()))
+            assert np.flatnonzero(got == UNASSIGNED).tolist() == [4, 31]
+
+    @pytest.mark.parametrize("seed", [0, 7, 99])
+    def test_greedy_bit_identical_across_seeds_and_modes(self, seed):
+        floor = enterprise_floor(15, 60, np.random.default_rng(seed))
+        order = np.random.default_rng(seed).permutation(floor.n_users)
+        for plc_mode in ("redistribute", "active", "fixed"):
+            assert np.array_equal(
+                greedy_assignment(floor, order, plc_mode=plc_mode),
+                greedy_reference(floor, order, plc_mode=plc_mode))
+            assert np.array_equal(
+                selfish_greedy_assignment(floor, order, plc_mode=plc_mode),
+                selfish_greedy_reference(floor, order, plc_mode=plc_mode))
 
 
 class TestCallCounter:

@@ -7,11 +7,13 @@ same decisions as the full evaluation it replaces.
   recomputing only the two touched cells — the resulting aggregate must
   be **bit-identical** to a full scalar :func:`~repro.net.engine.evaluate`
   of the moved assignment, and within 1e-9 of the batched kernel.
-* ``solve_phase2(delta=True)`` maintains the insertion-gains matrix
-  incrementally — its final assignment must be bit-identical to the
-  full-rebuild batch path and to the scalar reference oracle.
-* ``IncrementalWolt(delta=True)`` must apply the exact same moves as
-  the batched scoring loop on seeded churn sequences.
+* ``solve_phase2`` maintains the insertion-gains matrix incrementally —
+  its final assignment, objective and round count must be bit-identical
+  to the scalar reference oracle :func:`tests.oracles.phase2_reference`,
+  uncapacitated, capacitated, and guarded with users that hear nothing.
+* ``IncrementalWolt`` must apply the exact same moves as the batched
+  scoring loop :func:`tests.oracles.reconfigure_reference` on seeded
+  churn sequences.
 
 All of it is parametrized over topology/demand seeds so the wall covers
 a spread of scenarios, not one lucky instance.
@@ -23,14 +25,17 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic import IncrementalWolt
+from repro.core.guard import DecisionGuard
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import solve_phase2
-from repro.core.problem import UNASSIGNED
+from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
 from repro.net.engine import (DeltaEvaluator, count_engine_calls,
                               evaluate, evaluate_batch)
+from repro.wifi.phy import MCS_TABLE_80211N_20MHZ
 
 from .conftest import random_scenario
+from .oracles import phase2_reference, reconfigure_reference
 
 ATOL = 1e-9
 
@@ -223,53 +228,136 @@ class TestDeltaEvaluatorPartialSeeds:
         assert stats.scalar_calls == 0
 
 
+def _assert_same_phase2(got, want):
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.objective == want.objective
+    assert got.iterations == want.iterations
+
+
+def _deaf_scenario(seed, n_users, n_ext, deaf, capacities=False):
+    """A random scenario in which the users ``deaf`` hear nothing."""
+    rng = np.random.default_rng(seed)
+    base = random_scenario(rng, n_users, n_ext, reachable_prob=0.75,
+                           capacities=capacities)
+    wifi = base.wifi_rates.copy()
+    wifi[list(deaf), :] = 0.0
+    return Scenario(wifi_rates=wifi, plc_rates=base.plc_rates,
+                    capacities=base.capacities)
+
+
+def _twin_scenario(seed, n_users, n_pairs, scale=1.0, capacities=False):
+    """Extenders in identical pairs, on quantized 802.11n MCS rates.
+
+    Twin extenders hear every user at the same rate and have the same
+    PLC rate, so insertion and relocation gains tie exactly.  At
+    ``scale`` 2**14 the gains reach ~1e5-1e6 Mbps, where
+    ``best + 1e-12`` rounds back to ``best``.
+    """
+    rng = np.random.default_rng(seed)
+    mcs = np.array([rate for _, rate in MCS_TABLE_80211N_20MHZ])
+    wifi = mcs[rng.integers(mcs.size, size=(n_users, n_pairs))]
+    wifi[rng.random((n_users, n_pairs)) < 0.3] = 0.0
+    wifi[np.arange(n_users), rng.integers(n_pairs, size=n_users)] = 65.0
+    plc = rng.choice([50.0, 100.0, 150.0], size=n_pairs)
+    caps = (rng.integers(n_users // n_pairs, n_users, size=n_pairs)
+            if capacities else None)
+    return Scenario(wifi_rates=scale * np.repeat(wifi, 2, axis=1),
+                    plc_rates=scale * np.repeat(plc, 2),
+                    capacities=None if caps is None
+                    else np.repeat(caps, 2))
+
+
 class TestPhase2DeltaDifferential:
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
     @pytest.mark.parametrize("n_users,n_ext", [(10, 3), (24, 6),
                                                (40, 8)])
     def test_delta_insertion_bit_identical(self, seed, n_users, n_ext):
-        """Phase-2 assignments identical across delta/batch/scalar."""
+        """Phase-2 assignment, objective and rounds equal the oracle's."""
         rng = np.random.default_rng(seed)
         scenario = random_scenario(rng, n_users, n_ext,
                                    reachable_prob=0.75)
         p1 = solve_phase1(scenario)
-        delta = solve_phase2(scenario, p1.assignment, delta=True)
-        batch = solve_phase2(scenario, p1.assignment, delta=False)
-        scalar = solve_phase2(scenario, p1.assignment, vectorized=False)
-        assert np.array_equal(delta.assignment, batch.assignment)
-        assert np.array_equal(delta.assignment, scalar.assignment)
-        assert delta.objective == batch.objective
-        assert delta.iterations == batch.iterations
+        _assert_same_phase2(solve_phase2(scenario, p1.assignment),
+                            phase2_reference(scenario, p1.assignment))
 
-    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS[:3])
-    def test_delta_with_capacities_bit_identical(self, seed):
+    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
+    @pytest.mark.parametrize("n_users,n_ext", [(18, 5), (30, 6)])
+    @pytest.mark.parametrize("reachable_prob", [1.0, 0.75])
+    def test_delta_with_capacities_bit_identical(self, seed, n_users, n_ext,
+                                                 reachable_prob):
         rng = np.random.default_rng(seed)
-        scenario = random_scenario(rng, 18, 5, capacities=True)
+        scenario = random_scenario(rng, n_users, n_ext,
+                                   reachable_prob=reachable_prob,
+                                   capacities=True)
         p1 = solve_phase1(scenario)
-        delta = solve_phase2(scenario, p1.assignment, delta=True)
-        batch = solve_phase2(scenario, p1.assignment, delta=False)
-        assert np.array_equal(delta.assignment, batch.assignment)
+        _assert_same_phase2(solve_phase2(scenario, p1.assignment),
+                            phase2_reference(scenario, p1.assignment))
+
+    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
+    @pytest.mark.parametrize("capacities", [False, True])
+    def test_guarded_drop_unplaceable_bit_identical(
+            self, seed, capacities):
+        """Guarded runs leave deaf users UNASSIGNED exactly as the oracle."""
+        deaf = (2, 9)
+        scenario = _deaf_scenario(seed, 16, 4, deaf, capacities)
+        start = solve_phase1(scenario, guard=DecisionGuard()).assignment
+        got = solve_phase2(scenario, start, guard=DecisionGuard())
+        want = phase2_reference(scenario, start, guard=DecisionGuard())
+        _assert_same_phase2(got, want)
+        assert all(got.assignment[u] == UNASSIGNED for u in deaf)
+        assert np.count_nonzero(got.assignment == UNASSIGNED) == len(deaf)
+
+    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
+    @pytest.mark.parametrize("n_users", [6, 10, 24])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 14])
+    @pytest.mark.parametrize("capacities", [False, True])
+    @pytest.mark.parametrize("cold", [False, True],
+                             ids=["phase1-anchors", "no-anchors"])
+    def test_exact_ties_bit_identical(self, seed, n_users, scale,
+                                      capacities, cold):
+        """Twin extenders tie exactly; both paths break ties alike.
+
+        Small cells on quantized rates repeat the same occupancy, so
+        relocation gains tie at nonzero values too; at ``scale`` 2**14
+        those ties only stay put under the strict ``>``.
+        """
+        scenario = _twin_scenario(seed, n_users, 3, scale, capacities)
+        start = (np.full(n_users, UNASSIGNED) if cold
+                 else solve_phase1(scenario).assignment)
+        _assert_same_phase2(solve_phase2(scenario, start),
+                            phase2_reference(scenario, start))
+
+    def test_guarded_insertion_drops_users_left_without_room(self):
+        """Capacity, not hearing, leaves a user unplaceable: the guarded
+        insertion stops where the oracle's does."""
+        wifi = np.array([[50.0, 0.0], [40.0, 0.0], [30.0, 0.0],
+                         [20.0, 60.0]])
+        scenario = Scenario(wifi_rates=wifi,
+                            plc_rates=np.array([100.0, 80.0]),
+                            capacities=np.array([2, 1]))
+        start = np.full(4, UNASSIGNED)
+        got = solve_phase2(scenario, start, guard=DecisionGuard())
+        want = phase2_reference(scenario, start, guard=DecisionGuard())
+        _assert_same_phase2(got, want)
+        assert np.count_nonzero(got.assignment == UNASSIGNED) == 1
 
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS[:3])
     def test_full_wolt_unchanged_by_delta_default(self, seed):
-        """solve_wolt's decisions are the same as the pre-delta code."""
+        """solve_wolt's Phase II makes the scalar oracle's decisions."""
         rng = np.random.default_rng(seed)
         scenario = random_scenario(rng, 20, 5, reachable_prob=0.8)
         got = solve_wolt(scenario)
-        # The oracle: batch insertion (the pre-PR-6 default path).
         p1 = solve_phase1(scenario)
-        oracle = solve_phase2(scenario, p1.assignment, delta=False)
+        oracle = phase2_reference(scenario, p1.assignment)
         assert np.array_equal(got.assignment, oracle.assignment)
 
     def test_unplaceable_user_still_raises(self, rng):
-        scenario = random_scenario(rng, 6, 2)
-        wifi = scenario.wifi_rates.copy()
-        wifi[3, :] = 0.0  # user 3 hears nothing
-        from repro.core.problem import Scenario
-        dead = Scenario(wifi_rates=wifi, plc_rates=scenario.plc_rates)
+        dead = _deaf_scenario(0, 6, 2, deaf=(3,))
         start = np.full(6, UNASSIGNED)
         with pytest.raises(ValueError, match="cannot be attached"):
-            solve_phase2(dead, start, delta=True)
+            solve_phase2(dead, start)
+        with pytest.raises(ValueError, match="cannot be attached"):
+            phase2_reference(dead, start)
 
 
 class TestWarmStart:
@@ -337,27 +425,28 @@ class TestIncrementalWoltDelta:
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
     def test_delta_reconfigure_matches_batched_oracle(self, seed):
         """Identical churn -> identical moves, delta vs batched scoring."""
-        a, rng_a = self._churned_controller(seed, delta=True)
-        b, rng_b = self._churned_controller(seed, delta=False)
+        a, rng_a = self._churned_controller(seed)
+        b, rng_b = self._churned_controller(seed)
         out_a = a.reconfigure()
-        out_b = b.reconfigure()
+        out_b = reconfigure_reference(b)
         assert out_a.moves == out_b.moves
-        assert out_a.aggregate_after == pytest.approx(
-            out_b.aggregate_after, abs=ATOL)
+        assert out_a.aggregate_after == out_b.aggregate_after
         # Churn a little and reconfigure again.
         for ctl, rng in ((a, rng_a), (b, rng_b)):
             ctl.remove_user(0)
             ctl.add_user(100, rng.uniform(6.5, 144.0,
                                           size=ctl.plc_rates.size))
-        assert a.reconfigure().moves == b.reconfigure().moves
+        assert a.reconfigure().moves == reconfigure_reference(b).moves
+        assert a.assignment == b.assignment
+        assert a.total_moves == b.total_moves
 
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS[:3])
     def test_delta_respects_hysteresis_and_move_cap(self, seed):
-        a, _ = self._churned_controller(seed, delta=True,
-                                        min_gain_mbps=2.0, max_moves=2)
-        b, _ = self._churned_controller(seed, delta=False,
-                                        min_gain_mbps=2.0, max_moves=2)
-        out_a, out_b = a.reconfigure(), b.reconfigure()
+        a, _ = self._churned_controller(seed, min_gain_mbps=2.0,
+                                        max_moves=2)
+        b, _ = self._churned_controller(seed, min_gain_mbps=2.0,
+                                        max_moves=2)
+        out_a, out_b = a.reconfigure(), reconfigure_reference(b)
         assert out_a.moves == out_b.moves
         assert len(out_a.moves) <= 2
 

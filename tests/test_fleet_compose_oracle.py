@@ -119,7 +119,7 @@ class ScalarComposeService(FleetService):
             if int(new[user]) == int(old[user]):
                 continue
             working[user] = new[user]
-            moved = evaluate(  # woltlint: disable=W003 — reference oracle
+            moved = evaluate(
                 scenario, working, plc_mode=self.spec.plc_mode).aggregate
             directives.append(Directive(
                 building=bstate.name, user=user,

@@ -11,7 +11,8 @@ import pytest
 
 from repro.plc.mac import Ieee1901CsmaSimulator, TdmaScheduler
 from repro.wifi.mac import DcfParameters, DcfSimulator
-from repro.wifi.sharing import cell_throughput
+
+from .oracles import cell_throughput
 
 
 class TestDcfSimulator:

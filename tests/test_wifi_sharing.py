@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.wifi.sharing import (anomaly_ratio, cell_throughput,
-                                cell_throughputs, per_user_throughput)
+from repro.wifi.sharing import cell_throughputs
+
+from .oracles import anomaly_ratio, cell_throughput, per_user_throughput
 
 positive_rates = st.lists(st.floats(min_value=0.5, max_value=600.0),
                           min_size=1, max_size=20)

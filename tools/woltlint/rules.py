@@ -205,10 +205,10 @@ class ScalarEvalInLoop(Rule):
     rationale = ("Scoring candidates one evaluate() call per iteration "
                  "is the hot path the batched engine vectorized; use "
                  "evaluate_batch or a DeltaEvaluator (bit-identical by "
-                 "contract) or suppress with a justification if the "
-                 "loop is a reference oracle.  fleet/ is in scope "
-                 "because the service's per-building compose runs in "
-                 "the parent process on every epoch.")
+                 "contract).  Reference oracles live in tests/oracles.py, "
+                 "outside the rule's scope.  fleet/ is in scope because "
+                 "the service's per-building compose runs in the parent "
+                 "process on every epoch.")
 
     def applies_to(self, path: str) -> bool:
         return bool({"core", "sim", "fleet"}
