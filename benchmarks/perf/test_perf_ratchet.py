@@ -3,7 +3,7 @@
 Reads the committed ``benchmarks/perf/BENCH_engine.json`` (regenerate
 with ``PYTHONPATH=src python -m benchmarks.perf.bench_engine``) and
 ``benchmarks/perf/BENCH_fleet.json`` (``... -m
-benchmarks.perf.bench_fleet``) and asserts three kinds of bound:
+benchmarks.perf.bench_fleet``) and asserts four kinds of bound:
 
 * **absolute floors** — the claims this repo makes in
   docs/PERFORMANCE.md must hold on the recorded numbers: delta-eval
@@ -23,7 +23,10 @@ benchmarks.perf.bench_fleet``) and asserts three kinds of bound:
   must make exactly the engine calls pinned in ``SEARCH_CALLS``.
   Per-candidate scalar scoring measured >= 3.3x slower than the
   production paths, so falling back to it fails the time gate, and any
-  change to how candidates are scored fails the count gate.
+  change to how candidates are scored fails the count gate;
+* **telemetry ingest** — loading the recorded campus stream
+  (``stream_load`` in BENCH_fleet.json) must take at most
+  ``STREAM_LOAD_SLOWDOWN`` times ``STREAM_LOAD_S``.
 
 CI runs this in the ``perf-smoke`` job *after* regenerating the JSON
 on the runner, so the bounds are checked against fresh measurements,
@@ -71,6 +74,15 @@ SEARCH_CALLS = {
     "greedy_calls": {"scalar_calls": 0, "batch_calls": 124,
                      "batch_rows": 1858, "delta_moves": 0},
 }
+
+#: Best-of-5 ``RecordedTelemetry.load`` of the 1000-building x 8-epoch
+#: campus stream, as committed in BENCH_fleet.json (``stream_load``),
+#: recorded on a 2-cpu x86_64 machine.  Re-pin with the JSON when the
+#: ingest path legitimately changes.
+STREAM_LOAD_S = 0.40
+
+#: Fail when the stream load takes more than this multiple of its pin.
+STREAM_LOAD_SLOWDOWN = 2.0
 
 #: Absolute floor on delta-eval per-move speedup vs a full re-score.
 DELTA_FLOOR = 5.0
@@ -166,6 +178,16 @@ def test_fleet_sharding_is_bit_identical(fleet_bench: dict) -> None:
     """The speedup only counts if the answer is the same answer."""
     section = fleet_bench["fleet_epoch_serial_vs_sharded"]
     assert section["identical_to_serial"] is True
+
+
+def test_stream_load_time(fleet_bench: dict) -> None:
+    section = fleet_bench["stream_load"]
+    assert section["n_records"] >= 8 * 1000
+    bound = STREAM_LOAD_SLOWDOWN * STREAM_LOAD_S
+    assert section["load_s"] <= bound, (
+        f"stream_load.load_s = {section['load_s']:.3f}s exceeds "
+        f"{STREAM_LOAD_SLOWDOWN:.0f}x the pinned {STREAM_LOAD_S:.3f}s "
+        f"(recorded on {fleet_bench['meta']['cpus']} cpus)")
 
 
 def test_fleet_parallel_dispatch_floor(fleet_bench: dict) -> None:

@@ -148,10 +148,11 @@ def run_fault_sweep(fault_levels: Sequence[float] = DEFAULT_FAULT_LEVELS,
                            params=params, resume=resume)
     trial_seqs = np.random.SeedSequence(seed).spawn(n_trials)
     per_trial: Dict[int, Dict[str, Any]] = {}
+    journaled = store.records if store is not None else {}
     try:
         for index, trial_seq in enumerate(trial_seqs):
-            if store is not None and index in store:
-                per_trial[index] = store.records[index]
+            if index in journaled:
+                per_trial[index] = journaled[index]
                 continue
             payload = _run_fault_trial(trial_seq, levels, n_extenders,
                                        n_users, max_retries, plc_mode)

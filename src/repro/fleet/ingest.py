@@ -54,8 +54,8 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (IO, Any, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (IO, Any, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -171,12 +171,62 @@ def _finite_value(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _Reject(BAD_FIELD,
                       f"{what} must be a number, got {value!r}")
-    rate = float(value)
+    try:
+        rate = float(value)
+    except OverflowError as exc:  # JSON integers are unbounded
+        raise _Reject(BAD_FIELD,
+                      f"{what} is an integer too large for a float"
+                      ) from exc
     if not np.isfinite(rate):
         raise _Reject(BAD_FIELD, f"{what} is non-finite ({rate!r})")
     if rate < 0:
         raise _Reject(BAD_FIELD, f"{what} is negative ({rate!r})")
     return rate
+
+
+_NONE = type(None)
+#: Exact wire types of a rate cell.  JSON decoding yields no subclasses
+#: other than ``bool``, whose type is ``bool`` and so stays out.
+_RATE_TYPES = frozenset({int, float})
+_PROBE_TYPES = _RATE_TYPES | {_NONE}
+
+
+def _rates(values: List[Any], nullable: bool = False
+           ) -> Optional[np.ndarray]:
+    """One field's flattened wire cells as floats, in one array pass.
+
+    A type scan, one conversion and one finite-and-non-negative
+    reduction; ``None`` cells (``nullable`` only) become NaN, a dropped
+    probe.  Returns ``None`` when any cell would fail
+    :func:`_finite_value`, so the caller can walk the cells for the
+    first offender.
+    """
+    types = set(map(type, values))
+    if not types <= (_PROBE_TYPES if nullable else _RATE_TYPES):
+        return None
+    try:
+        rates = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    reported = rates
+    if _NONE in types:
+        reported = rates[~np.isnan(rates)]
+        if reported.size != len(values) - values.count(None):
+            return None  # a NaN literal is not a dropped probe
+    if not ((reported >= 0) & (reported < np.inf)).all():
+        return None
+    return rates
+
+
+def _first_offender(cells: Iterable[Tuple[str, Any]]) -> _Reject:
+    """The reject for the first bad cell of a field :func:`_rates`
+    refused (cells in row-major order)."""
+    for what, value in cells:
+        try:
+            _finite_value(value, what)
+        except _Reject as exc:
+            return exc
+    raise AssertionError("the array check refused a clean field")
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +260,10 @@ class TelemetryRecord:
             raise ValueError(
                 f"wifi covers {self.wifi.shape[1]} extenders, plc "
                 f"{self.plc.shape[0]}")
-        if not np.all(np.isfinite(self.wifi) & (self.wifi >= 0)):
+        if not (np.isfinite(self.wifi) & (self.wifi >= 0)).all():
             raise ValueError("wifi rates must be finite and >= 0")
         finite = np.isfinite(self.plc)
-        if not np.all(self.plc[finite] >= 0):
+        if not (self.plc[finite] >= 0).all():
             raise ValueError("plc rates must be >= 0 where reported")
 
     def encode(self) -> str:
@@ -269,27 +319,29 @@ class TelemetryRecord:
         wifi_raw = entry.get("wifi")
         if (not isinstance(wifi_raw, list)
                 or len(wifi_raw) != n_users
-                or any(not isinstance(row, list)
-                       or len(row) != n_extenders
-                       for row in wifi_raw)):
+                or not set(map(type, wifi_raw)) <= {list}
+                or not set(map(len, wifi_raw)) <= {n_extenders}):
             raise _Reject(BAD_FIELD,
                           f"wifi must be a {n_users}x{n_extenders} "
                           f"matrix for building {building!r}",
                           epoch=epoch)
-        wifi = np.empty((n_users, n_extenders), dtype=float)
-        for u, row in enumerate(wifi_raw):
-            for e, value in enumerate(row):
-                wifi[u, e] = _finite_value(
-                    value, f"wifi[{u}][{e}]")
+        wifi = _rates([value for row in wifi_raw for value in row])
+        if wifi is None:
+            raise _first_offender(
+                (f"wifi[{u}][{e}]", value)
+                for u, row in enumerate(wifi_raw)
+                for e, value in enumerate(row))
+        wifi = wifi.reshape(n_users, n_extenders)
         plc_raw = entry.get("plc")
         if not isinstance(plc_raw, list) or len(plc_raw) != n_extenders:
             raise _Reject(BAD_FIELD,
                           f"plc must list {n_extenders} capacities "
                           f"for building {building!r}", epoch=epoch)
-        plc = np.empty(n_extenders, dtype=float)
-        for e, value in enumerate(plc_raw):
-            plc[e] = (np.nan if value is None
-                      else _finite_value(value, f"plc[{e}]"))
+        plc = _rates(plc_raw, nullable=True)
+        if plc is None:
+            raise _first_offender(
+                (f"plc[{e}]", value)
+                for e, value in enumerate(plc_raw) if value is not None)
         return cls(building=building, epoch=epoch, wifi=wifi, plc=plc)
 
 
@@ -592,10 +644,6 @@ class SyntheticTelemetry(TelemetrySource):
     def __init__(self, spec: FleetSpec) -> None:
         self.spec = spec
         self._scenarios: Dict[int, Scenario] = {}
-
-    def prime(self, building: int, true: Scenario) -> None:
-        """Share an already-built topology (avoids a rebuild)."""
-        self._scenarios[building] = true
 
     def _true(self, building: int) -> Scenario:
         if building not in self._scenarios:

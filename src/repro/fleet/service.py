@@ -244,7 +244,7 @@ class _BuildingState:
         self.index = index
         self.name = building.name
         self.circuits = building.circuits
-        self.scenario = build_building_scenario(spec, index)
+        self.n_extenders = building.n_extenders
         self.health = HealthMonitor(
             building.n_extenders,
             flap_band=spec.health.flap_band,
@@ -343,11 +343,6 @@ class FleetService:
         self.epoch = 0
         self._buildings = [_BuildingState(spec, i)
                            for i in range(spec.n_buildings)]
-        if isinstance(self.source, SyntheticTelemetry):
-            # Share the already-built topologies: the source would
-            # otherwise rebuild each one (identically) on first use.
-            for bstate in self._buildings:
-                self.source.prime(bstate.index, bstate.scenario)
         self._store: Optional[TrialStore] = None
         if journal is not None:
             params = spec.params()
@@ -358,7 +353,7 @@ class FleetService:
                 del params["chaos"]
             self._store = TrialStore(journal, fingerprint(params),
                                      params=params, resume=resume)
-            if resume and self._store.records:
+            if resume and len(self._store):
                 self._replay(self._store.records)
 
     # ------------------------------------------------------------------
@@ -400,9 +395,9 @@ class FleetService:
         the very first epoch there is nothing to fall back to, so the
         service decides from the as-built rates — a pristine,
         drift-free report, the least-wrong stand-in that keeps the
-        epoch alive.
+        epoch alive.  That is the only place the service itself builds
+        a topology; a recorded stream needs none otherwise.
         """
-        true = state.scenario
         if (self.fault_model is not None
                 and state.last_observed is not None
                 and self.fault_model.blackout(self.spec.seed,
@@ -412,11 +407,12 @@ class FleetService:
         if report is None:
             if state.last_observed is not None:
                 return state.last_observed
+            true = build_building_scenario(self.spec, state.index)
             wifi_obs = true.wifi_rates
             plc_obs = true.plc_rates.astype(float, copy=True)
         else:
             wifi_obs, plc_obs = report
-        carrying = np.zeros(true.n_extenders, dtype=bool)
+        carrying = np.zeros(state.n_extenders, dtype=bool)
         attached = state.assignment[state.assignment != UNASSIGNED]
         carrying[attached] = True
         state.health.observe(plc_obs, carrying_traffic=carrying)

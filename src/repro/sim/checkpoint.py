@@ -63,13 +63,18 @@ class CorruptCheckpoint(CheckpointError):
     """The checkpoint is damaged beyond the recoverable truncated tail."""
 
 
+#: ``json.dumps`` builds a fresh encoder per call when given options;
+#: the canonical form reuses this one (same bytes, less per-call work).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """Serialize ``payload`` deterministically (sorted keys, no spaces).
 
     Canonical bytes are what make snapshots byte-reproducible and
     fingerprints stable across Python processes.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def fingerprint(params: Mapping[str, Any]) -> str:
@@ -157,7 +162,10 @@ class TrialStore:
         self.fingerprint = fingerprint
         self.params: Optional[Dict[str, Any]] = \
             None if params is None else dict(params)
-        self._records: Dict[int, Any] = {}
+        # Canonical JSON of each payload, not the decoded object: a
+        # long-running journal's memory is its bytes, and appends and
+        # snapshots reuse the line instead of encoding twice.
+        self._payloads: Dict[int, str] = {}
         self._events: List[Dict[str, Any]] = []
         self._handle: Optional[IO[str]] = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -241,7 +249,8 @@ class TrialStore:
                 # First write wins: records are deterministic, so a
                 # duplicate (possible only after manual edits) is
                 # ignored rather than trusted.
-                self._records.setdefault(index, entry["payload"])
+                self._payloads.setdefault(
+                    index, canonical_json(entry["payload"]))
             elif kind == "event":
                 self._events.append(
                     {k: v for k, v in entry.items() if k != "kind"})
@@ -262,8 +271,13 @@ class TrialStore:
 
     @property
     def records(self) -> Dict[int, Any]:
-        """Recovered/journaled payloads keyed by index (live view)."""
-        return self._records
+        """Recovered/journaled payloads keyed by index.
+
+        A freshly decoded copy on every access: mutating it never
+        changes the journal or its snapshot.
+        """
+        return {index: json.loads(payload)
+                for index, payload in self._payloads.items()}
 
     @property
     def events(self) -> List[Dict[str, Any]]:
@@ -272,40 +286,46 @@ class TrialStore:
 
     @property
     def completed(self) -> FrozenSet[int]:
-        return frozenset(self._records)
+        return frozenset(self._payloads)
 
     def __contains__(self, index: int) -> bool:
-        return index in self._records
+        return index in self._payloads
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._payloads)
 
     # -- write API ------------------------------------------------------
 
-    def _append_line(self, entry: Mapping[str, Any]) -> None:
+    def _append_line(self, line: str) -> None:
         if self._handle is None:
             raise CheckpointError(f"{self.path}: store is closed")
-        self._handle.write(canonical_json(entry) + "\n")
+        self._handle.write(line + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
+
+    @staticmethod
+    def _record_line(index: int, payload: str) -> str:
+        """``canonical_json`` of a record entry, around its encoded
+        payload (sorted keys: index, kind, payload)."""
+        return f'{{"index":{index},"kind":"record","payload":{payload}}}'
 
     def append(self, index: int, payload: Any) -> None:
         """Durably journal one record (complete-line write + fsync)."""
         index = int(index)
         if index < 0:
             raise ValueError("record index must be non-negative")
-        if index in self._records:
+        if index in self._payloads:
             raise CheckpointError(
                 f"{self.path}: index {index} already journaled")
-        self._append_line({"kind": "record", "index": index,
-                           "payload": payload})
-        self._records[index] = payload
+        encoded = canonical_json(payload)
+        self._append_line(self._record_line(index, encoded))
+        self._payloads[index] = encoded
 
     def append_event(self, event: str, **fields: Any) -> None:
         """Journal a transient event (dropped by :meth:`snapshot`)."""
         entry: Dict[str, Any] = {"kind": "event", "event": event}
         entry.update(fields)
-        self._append_line(entry)
+        self._append_line(canonical_json(entry))
         self._events.append(
             {k: v for k, v in entry.items() if k != "kind"})
 
@@ -318,10 +338,9 @@ class TrialStore:
         files regardless of completion order or crash/resume history.
         """
         lines = [canonical_json(self._header())]
-        for index in sorted(self._records):
-            lines.append(canonical_json(
-                {"kind": "record", "index": index,
-                 "payload": self._records[index]}))
+        for index in sorted(self._payloads):
+            lines.append(self._record_line(index,
+                                           self._payloads[index]))
         if self._handle is not None:
             self._handle.close()
         atomic_write_text(self.path, "\n".join(lines) + "\n")

@@ -15,11 +15,16 @@ The module also holds the closed-form sharing-law helpers only tests
 use: the single-cell forms of Eq. (1) and the plain time-fair PLC law
 of Eq. (2).  Production evaluates both through the whole-assignment
 kernels in :mod:`repro.wifi.sharing` and :mod:`repro.plc.sharing`.
+
+Last, :func:`decode_record_reference` validates a telemetry wire
+record one cell at a time, the reference for the array pass in
+:meth:`repro.fleet.ingest.TelemetryRecord.decode`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -30,6 +35,9 @@ from repro.core.phase2 import (Phase2Result, _CellState, _try_swaps,
                                wifi_objective)
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import WoltResult, solve_wolt
+from repro.fleet.ingest import (BAD_FIELD, STREAM_VERSION,
+                                UNKNOWN_BUILDING, UNKNOWN_VERSION,
+                                TelemetryRecord, _Reject, _verify_line)
 from repro.net.engine import (ThroughputReport, _record, evaluate,
                               evaluate_batch)
 
@@ -313,3 +321,85 @@ def reconfigure_reference(ctl: IncrementalWolt) -> ReconfigureOutcome:
     return ReconfigureOutcome(moves=tuple(applied), aggregate_before=before,
                               aggregate_after=after,
                               wolt_aggregate=target.aggregate_throughput)
+
+
+# ----------------------------------------------------------------------
+# Telemetry record decoding
+
+_RECORD_KEYS = frozenset({"kind", "v", "crc", "building", "epoch",
+                          "wifi", "plc"})
+
+
+def _finite_cell(value: Any, what: str) -> float:
+    # bool is an int subclass: a corrupted `true` must not parse as 1.0.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Reject(BAD_FIELD,
+                      f"{what} must be a number, got {value!r}")
+    try:
+        rate = float(value)
+    except OverflowError as exc:
+        raise _Reject(BAD_FIELD,
+                      f"{what} is an integer too large for a float"
+                      ) from exc
+    if not np.isfinite(rate):
+        raise _Reject(BAD_FIELD, f"{what} is non-finite ({rate!r})")
+    if rate < 0:
+        raise _Reject(BAD_FIELD, f"{what} is negative ({rate!r})")
+    return rate
+
+
+def decode_record_reference(raw: str,
+                            shapes: Mapping[str, Tuple[int, int]]
+                            ) -> TelemetryRecord:
+    """``TelemetryRecord.decode`` checking and copying one cell at a time.
+
+    Raises the same :class:`~repro.fleet.ingest._Reject` (class, reason,
+    epoch) as production for every record; cells are checked in
+    row-major order, so the first bad one names the reject.
+    """
+    entry = _verify_line(raw)
+    kind = entry.get("kind")
+    if kind != "telemetry":
+        raise _Reject(BAD_FIELD, f"unexpected entry kind {kind!r} mid-stream")
+    if entry.get("v") != STREAM_VERSION:
+        raise _Reject(UNKNOWN_VERSION,
+                      f"unknown schema version {entry.get('v')!r} "
+                      f"(this reader speaks v{STREAM_VERSION})")
+    unknown = sorted(set(entry) - _RECORD_KEYS)
+    if unknown:
+        raise _Reject(BAD_FIELD, f"unknown keys {unknown}")
+    building = entry.get("building")
+    if not isinstance(building, str):
+        raise _Reject(BAD_FIELD,
+                      f"building must be a string, got {building!r}")
+    epoch = entry.get("epoch")
+    if isinstance(epoch, bool) or not isinstance(epoch, int):
+        raise _Reject(BAD_FIELD, f"epoch must be an integer, got {epoch!r}")
+    if building not in shapes:
+        raise _Reject(UNKNOWN_BUILDING,
+                      f"building {building!r} is not in the spec",
+                      epoch=epoch)
+    n_users, n_extenders = shapes[building]
+    wifi_raw = entry.get("wifi")
+    if (not isinstance(wifi_raw, list)
+            or len(wifi_raw) != n_users
+            or any(not isinstance(row, list) or len(row) != n_extenders
+                   for row in wifi_raw)):
+        raise _Reject(BAD_FIELD,
+                      f"wifi must be a {n_users}x{n_extenders} matrix "
+                      f"for building {building!r}", epoch=epoch)
+    wifi = np.empty((n_users, n_extenders), dtype=float)
+    for u, row in enumerate(wifi_raw):
+        for e, value in enumerate(row):
+            wifi[u, e] = _finite_cell(value, f"wifi[{u}][{e}]")
+    plc_raw = entry.get("plc")
+    if not isinstance(plc_raw, list) or len(plc_raw) != n_extenders:
+        raise _Reject(BAD_FIELD,
+                      f"plc must list {n_extenders} capacities for "
+                      f"building {building!r}", epoch=epoch)
+    plc = np.empty(n_extenders, dtype=float)
+    for e, value in enumerate(plc_raw):
+        plc[e] = (np.nan if value is None
+                  else _finite_cell(value, f"plc[{e}]"))
+    return TelemetryRecord(building=building, epoch=epoch, wifi=wifi,
+                           plc=plc)

@@ -117,6 +117,22 @@ class TestRecovery:
             assert store.records == {0: {"value": 0.125},
                                      1: {"value": 0.25}}
 
+    def test_mutating_records_leaves_the_snapshot(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        self._seed_store(path)
+        with TrialStore(path, DIGEST, resume=True) as store:
+            store.append(2, {"value": [0.5]})
+            store.snapshot()
+            before = path.read_bytes()
+            records = store.records
+            records[0]["value"] = -1.0
+            records[2]["value"].append(9.0)
+            records[3] = {"value": 7.0}
+            assert 3 not in store
+            assert store.records[2] == {"value": [0.5]}
+            store.snapshot()
+            assert path.read_bytes() == before
+
     def test_floats_round_trip_bit_exactly(self, tmp_path):
         path = tmp_path / "run.jsonl"
         value = 0.1 + 0.2  # not representable exactly; repr round-trips

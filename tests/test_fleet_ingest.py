@@ -173,18 +173,17 @@ class TestClassification:
 
     def test_nonfinite_and_negative_are_bad_fields(self):
         spec, text = self.clean()
-        lines = stream_lines(text)
-        entry = json.loads(lines[1])
-        entry["plc"][0] = float("inf")
-        lines[1] = _signed_line(entry)
-        self.assert_class(spec, rebuild(lines[0], lines[1:]),
-                          "bad-field")
-        entry = json.loads(stream_lines(text)[1])
-        entry["wifi"][0][0] = -1.0
-        lines = stream_lines(text)
-        lines[1] = _signed_line(entry)
-        self.assert_class(spec, rebuild(lines[0], lines[1:]),
-                          "bad-field")
+        # 10**400 is valid JSON but no float: it must reject, not
+        # crash the reader with an OverflowError.
+        for field, value in (("plc", float("inf")), ("wifi", -1.0),
+                             ("wifi", 10 ** 400), ("plc", 10 ** 400)):
+            lines = stream_lines(text)
+            entry = json.loads(lines[1])
+            cells = entry["wifi"][0] if field == "wifi" else entry["plc"]
+            cells[0] = value
+            lines[1] = _signed_line(entry)
+            self.assert_class(spec, rebuild(lines[0], lines[1:]),
+                              "bad-field")
 
     def test_unknown_building(self):
         spec, text = self.clean()
