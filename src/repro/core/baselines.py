@@ -15,11 +15,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from ..net.engine import evaluate_batch
+from ..net.engine import ArrivalScorer
 from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -43,19 +43,6 @@ def _best_candidate(scenario: Scenario, user: int, candidates: "List[int]",
                    scenario.wifi_rates[user, candidates[best_k]])):
             best_k = k
     return candidates[best_k]
-
-
-def _candidate_batch(scenario: Scenario, assign: np.ndarray, user: int,
-                     counts: np.ndarray
-                     ) -> "Tuple[List[int], Optional[np.ndarray]]":
-    """Feasible extenders for ``user`` and the candidate assignment batch."""
-    candidates = [int(j) for j in scenario.reachable(user)
-                  if counts[j] < scenario.capacity_of(int(j))]
-    if not candidates:
-        return [], None
-    batch = np.tile(assign, (len(candidates), 1))
-    batch[np.arange(len(candidates)), user] = candidates
-    return candidates, batch
 
 
 def rssi_assignment(scenario: Scenario,
@@ -99,21 +86,19 @@ def greedy_attach_user(scenario: Scenario,
     Evaluates the aggregate end-to-end throughput (under ``plc_mode``)
     for each reachable extender with free capacity (existing users
     fixed) and returns the argmax; ties break toward the stronger WiFi
-    link.  All candidates are scored in a single
-    :func:`repro.net.engine.evaluate_batch` call.
+    link.  All candidates are scored in one
+    :class:`repro.net.engine.ArrivalScorer` pass.
 
     Raises:
-        ValueError: if the user cannot be attached anywhere.
+        ValueError: if the user cannot be attached anywhere, or
+            ``assignment`` is invalid.
     """
-    assign = np.array(assignment, dtype=int)
-    counts = np.bincount(assign[assign != UNASSIGNED],
-                         minlength=scenario.n_extenders)
-    candidates, batch = _candidate_batch(scenario, assign, user, counts)
+    scorer = ArrivalScorer(scenario, assignment, plc_mode=plc_mode)
+    candidates = scorer.candidates(user)
     if not candidates:
         raise ValueError(f"user {user} cannot be attached anywhere")
-    aggregates = evaluate_batch(scenario, batch,
-                                plc_mode=plc_mode).aggregates
-    return _best_candidate(scenario, user, candidates, aggregates)
+    return _best_candidate(scenario, user, candidates,
+                           scorer.aggregates(user, candidates))
 
 
 def greedy_assignment(scenario: Scenario,
@@ -138,20 +123,38 @@ def greedy_assignment(scenario: Scenario,
     Returns:
         A complete assignment array.
     """
+    return _online_greedy(scenario, arrival_order, plc_mode, guard,
+                          selfish=False)
+
+
+def _online_greedy(scenario: Scenario,
+                   arrival_order: Optional[Sequence[int]],
+                   plc_mode: str, guard: "Optional[DecisionGuard]",
+                   selfish: bool) -> np.ndarray:
+    """Arrivals in order, each scored with one :class:`ArrivalScorer` pass.
+
+    The score is the network aggregate, or with ``selfish`` the
+    arrival's own throughput.
+    """
     if arrival_order is None:
         arrival_order = range(scenario.n_users)
-    assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
+    scorer = ArrivalScorer(scenario,
+                           np.full(scenario.n_users, UNASSIGNED, dtype=int),
+                           plc_mode=plc_mode)
+    score = scorer.user_throughputs if selfish else scorer.aggregates
     for user in arrival_order:
-        try:
-            assignment[user] = greedy_attach_user(scenario, assignment,
-                                                  int(user),
-                                                  plc_mode=plc_mode)
-        except ValueError:
+        user = int(user)
+        candidates = scorer.candidates(user)
+        if not candidates:
             if guard is None:
-                raise
+                raise ValueError(f"user {user} cannot be attached anywhere")
+            continue
+        scorer.commit(user, _best_candidate(scenario, user, candidates,
+                                            score(user, candidates)))
+    assignment = scorer.assignment
     if guard is not None:
-        assignment, _ = guard.repair_assignment(scenario, assignment,
-                                                source="greedy")
+        assignment, _ = guard.repair_assignment(
+            scenario, assignment, source="selfish" if selfish else "greedy")
     return assignment
 
 
@@ -200,28 +203,9 @@ def selfish_greedy_assignment(scenario: Scenario,
     end-to-end throughput given the users already attached (Fig. 3c),
     rather than the network aggregate.  Kept as an extra baseline: it is
     what uncoordinated rate-aware clients would do.  Each arrival's
-    candidates are scored with one batched engine call.  With a
+    candidates are scored in one :class:`ArrivalScorer` pass.  With a
     ``guard``, unattachable arrivals are left UNASSIGNED and reported
     instead of raising.
     """
-    if arrival_order is None:
-        arrival_order = range(scenario.n_users)
-    assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
-    counts = np.zeros(scenario.n_extenders, dtype=int)
-    for user in arrival_order:
-        user = int(user)
-        candidates, batch = _candidate_batch(scenario, assignment, user,
-                                             counts)
-        if not candidates:
-            if guard is None:
-                raise ValueError(f"user {user} cannot be attached anywhere")
-            continue
-        report = evaluate_batch(scenario, batch, plc_mode=plc_mode)
-        best_j = _best_candidate(scenario, user, candidates,
-                                 report.user_throughputs[:, user])
-        assignment[user] = best_j
-        counts[best_j] += 1
-    if guard is not None:
-        assignment, _ = guard.repair_assignment(scenario, assignment,
-                                                source="selfish")
-    return assignment
+    return _online_greedy(scenario, arrival_order, plc_mode, guard,
+                          selfish=True)

@@ -21,7 +21,8 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["solve_assignment", "InfeasibleAssignmentError"]
+__all__ = ["solve_assignment", "max_cardinality_assignment",
+           "InfeasibleAssignmentError"]
 
 
 class InfeasibleAssignmentError(ValueError):
@@ -52,6 +53,48 @@ def solve_assignment(weights: np.ndarray,
         InfeasibleAssignmentError: if no complete matching exists.
         ValueError: on NaN entries or empty input.
     """
+    rows, cols, forbidden = _solve_big_m(weights, maximize)
+    if np.any(forbidden):
+        raise InfeasibleAssignmentError(
+            "no complete matching avoids the forbidden pairs")
+    return rows, cols
+
+
+def max_cardinality_assignment(weights: np.ndarray, maximize: bool = True
+                               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Largest matching that avoids forbidden pairs, best total among them.
+
+    Where :func:`solve_assignment` raises because no complete matching
+    avoids the forbidden pairs (a Hall-condition violation), this
+    returns a maximum-cardinality matching over the allowed pairs, with
+    the best objective among all matchings of that size.  When a
+    complete matching exists the result equals
+    :func:`solve_assignment`'s.  It is the same big-M solve: a
+    forbidden pair costs more than any difference in allowed totals,
+    so the optimum first minimizes the number of forbidden pairs used;
+    those pairs are then dropped.  The solver breaks ties
+    deterministically (lowest index first).
+
+    Returns:
+        ``(rows, cols)`` of the kept pairs, ordered as in
+        :func:`solve_assignment`.
+
+    Raises:
+        InfeasibleAssignmentError: if every pair is forbidden.
+        ValueError: on NaN entries or empty input.
+    """
+    rows, cols, forbidden = _solve_big_m(weights, maximize)
+    return rows[~forbidden], cols[~forbidden]
+
+
+def _solve_big_m(weights: np.ndarray, maximize: bool
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complete matching with forbidden pairs priced at a big-M cost.
+
+    Returns ``(rows, cols, forbidden)``: the matched pairs, ordered as
+    documented in :func:`solve_assignment`, and a mask of the pairs
+    that landed on forbidden entries.
+    """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("weights must be a non-empty 2-D matrix")
@@ -69,7 +112,7 @@ def solve_assignment(weights: np.ndarray,
     if finite.size == 0:
         raise InfeasibleAssignmentError("all pairs are forbidden")
     # Replace forbidden entries by a cost so large they are never chosen
-    # unless unavoidable (detected afterwards).
+    # unless unavoidable.
     span = float(finite.max() - finite.min()) + 1.0
     big = float(finite.max()) + span * (max(cost.shape) + 1)
     cost = np.where(forbidden, big, cost)
@@ -85,13 +128,11 @@ def solve_assignment(weights: np.ndarray,
 
     rows = np.arange(cost.shape[0])
     cols = col4row
-    if np.any(forbidden_t[rows, cols]):
-        raise InfeasibleAssignmentError(
-            "no complete matching avoids the forbidden pairs")
+    hit = forbidden_t[rows, cols]
     if transposed:
         order = np.argsort(cols)
-        return cols[order], rows[order]
-    return rows, cols
+        return cols[order], rows[order], hit[order]
+    return rows, cols, hit
 
 
 def _shortest_path_assignment(cost: np.ndarray

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .hungarian import InfeasibleAssignmentError, solve_assignment
+from .hungarian import max_cardinality_assignment
 from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -103,17 +103,11 @@ def solve_phase1(scenario: Scenario,
             result, _ = guard.repair_phase1(scenario, result)
         return result
 
-    sub = utilities[:, candidate_ext]
-    try:
-        rows, cols = solve_assignment(sub, maximize=True)
-    except InfeasibleAssignmentError:
-        # Reachability prevents a perfect matching on all candidate
-        # extenders (a Hall-condition violation).  Restrict to a maximum
-        # matchable subset of extenders and retry.
-        matchable = _max_matchable_extenders(sub)
-        candidate_ext = candidate_ext[matchable]
-        sub = utilities[:, candidate_ext]
-        rows, cols = solve_assignment(sub, maximize=True)
+    # Reachability may prevent matching every candidate extender (a
+    # Hall-condition violation); the solve then keeps a largest
+    # matchable set of extenders, with the best utility among those.
+    rows, cols = max_cardinality_assignment(utilities[:, candidate_ext],
+                                            maximize=True)
 
     users = rows
     extenders = candidate_ext[cols]
@@ -130,24 +124,3 @@ def solve_phase1(scenario: Scenario,
         result, _ = guard.repair_phase1(scenario, result)
     return result
 
-
-def _max_matchable_extenders(utilities: np.ndarray) -> np.ndarray:
-    """Columns that admit a simultaneous matching to distinct rows.
-
-    Uses Hopcroft-Karp maximum bipartite matching on the feasibility graph
-    (finite-utility pairs) and returns the matched column indices.
-    """
-    import networkx as nx
-
-    n_users, n_ext = utilities.shape
-    graph = nx.Graph()
-    user_nodes = [("u", i) for i in range(n_users)]
-    ext_nodes = [("e", j) for j in range(n_ext)]
-    graph.add_nodes_from(user_nodes, bipartite=0)
-    graph.add_nodes_from(ext_nodes, bipartite=1)
-    for i in range(n_users):
-        for j in np.flatnonzero(np.isfinite(utilities[i])):
-            graph.add_edge(("u", i), ("e", int(j)))
-    matching = nx.bipartite.maximum_matching(graph, top_nodes=user_nodes)
-    matched = sorted(j for kind, j in matching if kind == "e")
-    return np.asarray(matched, dtype=int)

@@ -71,39 +71,62 @@ def wifi_objective(scenario: Scenario, assignment: Sequence[int]) -> float:
 
 
 class _CellState:
-    """Incremental per-extender WiFi state for fast marginal evaluation."""
+    """Incremental per-extender WiFi state for fast marginal evaluation.
+
+    Counts and inverse-rate sums are plain Python ``int``/``float``
+    lists: the local search makes thousands of single-cell updates per
+    solve, and Python float arithmetic is IEEE-identical to the numpy
+    float64 scalar operations, without their per-call overhead.  The
+    inverse rates are taken once with numpy, so a zero rate (an anchor
+    on an unreachable extender) still gives ``inf`` instead of raising.
+    """
 
     def __init__(self, scenario: Scenario, assignment: np.ndarray) -> None:
         self.scenario = scenario
         n_ext = scenario.n_extenders
-        self.counts = np.zeros(n_ext, dtype=int)
-        self.inv_rate_sums = np.zeros(n_ext, dtype=float)
-        for i in np.flatnonzero(assignment != UNASSIGNED):
-            j = assignment[i]
-            self.counts[j] += 1
-            self.inv_rate_sums[j] += 1.0 / scenario.wifi_rates[i, j]
+        self.rates: List[List[float]] = scenario.wifi_rates.tolist()
+        with np.errstate(divide="ignore"):
+            self.inv_rates: List[List[float]] = \
+                (1.0 / scenario.wifi_rates).tolist()
+        self.counts = [0] * n_ext
+        self.inv_rate_sums = [0.0] * n_ext
+        for i, j in enumerate(assignment.tolist()):
+            if j != UNASSIGNED:
+                self.add(i, j)
 
     def throughput(self, j: int) -> float:
         if self.counts[j] == 0:
             return 0.0
         return self.counts[j] / self.inv_rate_sums[j]
 
+    def arrays(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(counts, inv_rate_sums)`` as numpy arrays for vector sweeps."""
+        return np.array(self.counts), np.array(self.inv_rate_sums)
+
     def total(self) -> float:
-        busy = self.counts > 0
-        return float((self.counts[busy] / self.inv_rate_sums[busy]).sum())
+        counts, sums = self.arrays()
+        busy = counts > 0
+        return float((counts[busy] / sums[busy]).sum())
 
     def add(self, user: int, j: int) -> None:
         self.counts[j] += 1
-        self.inv_rate_sums[j] += 1.0 / self.scenario.wifi_rates[user, j]
+        self.inv_rate_sums[j] += self.inv_rates[user][j]
 
     def remove(self, user: int, j: int) -> None:
         self.counts[j] -= 1
-        self.inv_rate_sums[j] -= 1.0 / self.scenario.wifi_rates[user, j]
+        self.inv_rate_sums[j] -= self.inv_rates[user][j]
         if self.counts[j] == 0:
             self.inv_rate_sums[j] = 0.0
 
     def room(self, j: int) -> bool:
         return self.counts[j] < self.scenario.capacity_of(j)
+
+    def gain(self, user: int, j: int) -> float:
+        """Insertion gain of reachable ``(user, j)``, as in
+        :meth:`_BatchGains.gains`."""
+        return ((self.counts[j] + 1)
+                / (self.inv_rate_sums[j] + self.inv_rates[user][j])
+                - self.throughput(j))
 
 
 class _BatchGains:
@@ -120,18 +143,13 @@ class _BatchGains:
     def __init__(self, scenario: Scenario) -> None:
         rates = scenario.wifi_rates
         self.reach = rates > MIN_USABLE_RATE
+        self.reachable = [np.flatnonzero(row).tolist() for row in self.reach]
         self.inv_rates = np.zeros_like(rates)
         self.inv_rates[self.reach] = 1.0 / rates[self.reach]
         if scenario.capacities is None:
             self.caps = np.full(scenario.n_extenders, np.inf)
         else:
             self.caps = scenario.capacities.astype(float)
-
-    def cell_throughputs(self, state: _CellState) -> np.ndarray:
-        out = np.zeros(state.counts.shape[0])
-        busy = state.counts > 0
-        out[busy] = state.counts[busy] / state.inv_rate_sums[busy]
-        return out
 
     def gains(self, state: _CellState, users: np.ndarray) -> np.ndarray:
         """``(len(users), n_extenders)`` matrix of insertion gains.
@@ -140,16 +158,18 @@ class _BatchGains:
         callers need different room semantics).
         """
         _record(batch=1, rows=int(users.size) * self.reach.shape[1])
-        tput = self.cell_throughputs(state)
+        counts, sums = state.arrays()
+        tput = np.zeros(counts.shape[0])
+        busy = counts > 0
+        tput[busy] = counts[busy] / sums[busy]
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = ((state.counts[np.newaxis, :] + 1)
-                   / (state.inv_rate_sums[np.newaxis, :]
-                      + self.inv_rates[users]))
+            new = ((counts[np.newaxis, :] + 1)
+                   / (sums[np.newaxis, :] + self.inv_rates[users]))
         return np.where(self.reach[users], new - tput[np.newaxis, :],
                         -np.inf)
 
     def room(self, state: _CellState) -> np.ndarray:
-        return state.counts < self.caps
+        return np.array(state.counts) < self.caps
 
 
 def _greedy_insertion(scenario: Scenario, state: _CellState,
@@ -207,25 +227,25 @@ def _greedy_insertion(scenario: Scenario, state: _CellState,
             matrix[pending, j] = -np.inf
 
 
-def _relocate_batch(scenario: Scenario, state: _CellState,
-                    gains: _BatchGains, assignment: np.ndarray,
-                    user: int) -> int:
-    """Best relocation target for one user, gains scored in one batch.
+def _relocate(scenario: Scenario, state: _CellState, gains: _BatchGains,
+              assignment: np.ndarray, user: int) -> int:
+    """Best relocation target for one user.
 
-    Scans extenders in ascending order and moves only on a strict
-    ``> best + 1e-12`` improvement over staying put.
+    Scans reachable extenders in ascending order and moves only on a
+    strict ``> best + 1e-12`` improvement over staying put.  The gains
+    are :meth:`_BatchGains.gains`'s row for ``user``, computed on the
+    state's Python floats; the scan counts as one batched engine call.
     """
     cur = int(assignment[user])
     state.remove(user, cur)
-    g = gains.gains(state, np.asarray([user]))[0]
-    room = gains.room(state)
-    best_j, best_gain = cur, g[cur]
-    for j in np.flatnonzero(gains.reach[user]):
-        j = int(j)
-        if j == cur or not room[j]:
+    _record(batch=1, rows=scenario.n_extenders)
+    best_j, best_gain = cur, state.gain(user, cur)
+    for j in gains.reachable[user]:
+        if j == cur or not state.room(j):
             continue
-        if g[j] > best_gain + 1e-12:
-            best_j, best_gain = j, g[j]
+        g = state.gain(user, j)
+        if g > best_gain + 1e-12:
+            best_j, best_gain = j, g
     state.add(user, best_j)
     return best_j
 
@@ -314,8 +334,8 @@ def solve_phase2(scenario: Scenario,
         rounds += 1
         for user in movable:
             cur = assignment[user]
-            best_j = _relocate_batch(scenario, state, gains, assignment,
-                                     int(user))
+            best_j = _relocate(scenario, state, gains, assignment,
+                               int(user))
             assignment[user] = best_j
             if best_j != cur:
                 improved = True
@@ -337,19 +357,21 @@ def _try_swaps(scenario: Scenario, state: _CellState,
 
     Swapping users on different extenders keeps per-cell counts (and hence
     capacities) intact while exploring moves a single relocation cannot
-    reach.  Returns True if any swap improved the objective.
+    reach.  Returns True if any swap improved the objective.  A rejected
+    swap is undone by the reverse updates in a fixed order; that undo is
+    not an exact inverse in floating point, and later decisions see it.
     """
+    rates = state.rates
+    where = assignment.tolist()
+    users = movable.tolist()
     improved = False
-    for a_pos in range(movable.size):
-        a = int(movable[a_pos])
-        for b_pos in range(a_pos + 1, movable.size):
-            b = int(movable[b_pos])
-            ja, jb = int(assignment[a]), int(assignment[b])
+    for a_pos, a in enumerate(users):
+        for b in users[a_pos + 1:]:
+            ja, jb = where[a], where[b]
             if ja == jb:
                 continue
-            ra_jb = scenario.wifi_rates[a, jb]
-            rb_ja = scenario.wifi_rates[b, ja]
-            if ra_jb <= MIN_USABLE_RATE or rb_ja <= MIN_USABLE_RATE:
+            if rates[a][jb] <= MIN_USABLE_RATE \
+                    or rates[b][ja] <= MIN_USABLE_RATE:
                 continue
             before = state.throughput(ja) + state.throughput(jb)
             state.remove(a, ja)
@@ -358,13 +380,14 @@ def _try_swaps(scenario: Scenario, state: _CellState,
             state.add(b, ja)
             after = state.throughput(ja) + state.throughput(jb)
             if after > before + 1e-12:
-                assignment[a], assignment[b] = jb, ja
+                where[a], where[b] = jb, ja
                 improved = True
             else:
                 state.remove(a, jb)
                 state.remove(b, ja)
                 state.add(a, ja)
                 state.add(b, jb)
+    assignment[:] = where
     return improved
 
 

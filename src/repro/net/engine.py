@@ -23,6 +23,7 @@ independently validate the two sharing laws.
 
 from __future__ import annotations
 
+from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
@@ -33,13 +34,13 @@ from ..core.problem import (UNASSIGNED, Scenario, validate_assignment,
                             validate_assignment_batch)
 from ..plc.sharing import (BatchPlcAllocation, PLC_MODES, PlcAllocation,
                            allocate_backhaul, allocate_backhaul_batch,
-                           backhaul_throughputs)
+                           backhaul_throughputs, backhaul_throughputs_batch)
 from ..wifi.sharing import _EPS as _RATE_EPS
 from ..wifi.sharing import cell_throughputs, cell_throughputs_batch
 
 __all__ = ["ThroughputReport", "BatchThroughputReport", "DeltaEvaluator",
-           "evaluate", "evaluate_batch", "aggregate_throughput",
-           "EngineCallStats", "count_engine_calls"]
+           "ArrivalScorer", "evaluate", "evaluate_batch",
+           "aggregate_throughput", "EngineCallStats", "count_engine_calls"]
 
 
 @dataclass
@@ -493,3 +494,143 @@ class DeltaEvaluator:
         """
         return evaluate(self._scenario, self._assignment,
                         plc_mode=self._plc_mode)
+
+
+class ArrivalScorer:
+    """Incremental scorer for one user arriving at a fixed population.
+
+    The greedy baselines attach each arrival to the extender that scores
+    best with everyone else held fixed.  Each candidate row differs from
+    the current assignment in one user only, so only the candidate's
+    cell (and the arrival's old cell, if it was attached) changes.  The
+    scorer keeps the per-cell members, counts and inverse-rate sums and
+    the current WiFi vector, recomputes just the changed cells, and
+    runs the PLC law over all candidate rows in one
+    :func:`~repro.plc.sharing.backhaul_throughputs_batch` call.
+
+    Every number is **bit-identical** to :func:`evaluate_batch` on the
+    tiled candidate batch.  A cell's value is its member count divided
+    by the sum of ``1/r`` over its members in user-index order, the
+    sequential order of the ``bincount`` in
+    :func:`~repro.wifi.sharing.cell_throughputs_batch` (which seeds the
+    WiFi vector); the PLC kernel and the row sums are the batch ones.
+
+    Each scored arrival counts as one batched engine call with one row
+    per candidate, as the tiled batch did.  Not thread-safe.
+    """
+
+    def __init__(self, scenario: Scenario, assignment: Sequence[int],
+                 plc_mode: str = "redistribute") -> None:
+        if plc_mode not in PLC_MODES:
+            raise ValueError(
+                f"plc_mode must be one of {PLC_MODES}, got {plc_mode!r}")
+        self._scenario = scenario
+        self._plc_mode = plc_mode
+        assign = validate_assignment(scenario, assignment,
+                                     require_complete=False).copy()
+        n_ext = scenario.n_extenders
+        with np.errstate(divide="ignore"):
+            self._inv: List[List[float]] = \
+                (1.0 / scenario.wifi_rates).tolist()
+        self._members: List[List[int]] = [[] for _ in range(n_ext)]
+        self._inv_sums = [0.0] * n_ext
+        for user, j in enumerate(assign.tolist()):
+            if j != UNASSIGNED:
+                self._members[j].append(user)
+                self._inv_sums[j] += self._inv[user][j]
+        self._assignment = assign
+        self._wifi = cell_throughputs_batch(
+            scenario.wifi_rates, assign[np.newaxis, :], n_ext)[0]
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """Copy of the current per-user extender indices."""
+        return self._assignment.copy()
+
+    def candidates(self, user: int) -> List[int]:
+        """Reachable extenders with room for ``user`` (ascending).
+
+        Room is judged on the current counts, so a user who is already
+        attached occupies a slot in its own cell.
+        """
+        scenario = self._scenario
+        return [int(j) for j in scenario.reachable(user)
+                if len(self._members[j]) < scenario.capacity_of(int(j))]
+
+    def _inv_sum(self, j: int, members: Sequence[int]) -> float:
+        """Sum of ``1/r`` over ``members`` of cell ``j``, in list order."""
+        total = 0.0
+        for i in members:
+            total += self._inv[i][j]
+        return total
+
+    def _inv_sum_with(self, user: int, j: int) -> float:
+        """Cell ``j``'s inverse-rate sum with ``user`` added."""
+        members = self._members[j]
+        if members and members[-1] > user:
+            return self._inv_sum(j, sorted(members + [user]))
+        # The arrival sorts last: extending the cached sum is the same
+        # sequence of additions.
+        return self._inv_sums[j] + self._inv[user][j]
+
+    def _inv_sum_without(self, user: int, j: int) -> float:
+        """Cell ``j``'s inverse-rate sum with ``user`` removed."""
+        return self._inv_sum(j, [i for i in self._members[j] if i != user])
+
+    def _extender_rows(self, user: int, candidates: Sequence[int]
+                       ) -> "tuple[np.ndarray, np.ndarray]":
+        """End-to-end extender throughputs and cell counts per candidate."""
+        n_rows = len(candidates)
+        _record(batch=1, rows=n_rows)
+        src = int(self._assignment[user])
+        wifi = np.tile(self._wifi, (n_rows, 1))
+        if src != UNASSIGNED:
+            left = len(self._members[src]) - 1
+            wifi[:, src] = (left / self._inv_sum_without(user, src)
+                            if left else 0.0)
+        cells = []
+        counts = []
+        for j in candidates:
+            if j == src:
+                cells.append(self._wifi[src])
+                counts.append(len(self._members[j]))
+            else:
+                count = len(self._members[j]) + 1
+                cells.append(count / self._inv_sum_with(user, j))
+                counts.append(count)
+        wifi[np.arange(n_rows), candidates] = cells
+        plc = backhaul_throughputs_batch(self._scenario.plc_rates, wifi,
+                                         self._plc_mode)
+        return np.minimum(wifi, plc), np.asarray(counts)
+
+    def aggregates(self, user: int, candidates: Sequence[int]) -> np.ndarray:
+        """Aggregate throughput of each row ``user -> candidates[k]``.
+
+        Bitwise ``evaluate_batch(tiled rows).aggregates``.
+        """
+        ext, _ = self._extender_rows(user, candidates)
+        return ext.sum(axis=1)
+
+    def user_throughputs(self, user: int,
+                         candidates: Sequence[int]) -> np.ndarray:
+        """``user``'s own throughput in each row ``user -> candidates[k]``.
+
+        Bitwise ``evaluate_batch(tiled rows).user_throughputs[:, user]``.
+        """
+        ext, counts = self._extender_rows(user, candidates)
+        return ext[np.arange(len(candidates)), candidates] / counts
+
+    def commit(self, user: int, j: int) -> None:
+        """Move ``user`` to extender ``j`` (one of its candidates)."""
+        src = int(self._assignment[user])
+        if j == src:
+            return
+        if src != UNASSIGNED:
+            self._inv_sums[src] = self._inv_sum_without(user, src)
+            self._members[src].remove(user)
+            left = len(self._members[src])
+            self._wifi[src] = left / self._inv_sums[src] if left else 0.0
+        self._inv_sums[j] = self._inv_sum_with(user, j)
+        insort(self._members[j], user)
+        self._wifi[j] = len(self._members[j]) / self._inv_sums[j]
+        self._assignment[user] = j

@@ -34,6 +34,7 @@ __all__ = [
     "allocate_backhaul",
     "allocate_backhaul_batch",
     "backhaul_throughputs",
+    "backhaul_throughputs_batch",
     "PLC_MODES",
 ]
 
@@ -257,6 +258,43 @@ def backhaul_throughputs(plc_rates: np.ndarray, demands: np.ndarray,
     return np.minimum(shares * plc_rates, demands)
 
 
+def _time_shares_batch(rates: np.ndarray, load: np.ndarray,
+                       mode: str) -> np.ndarray:
+    """Row-wise :func:`_time_shares` for a pre-validated ``(B, n)`` load."""
+    active = load > _EPS
+    rates_row = rates[np.newaxis, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        needed = np.where(active & (rates_row > 0),
+                          load / np.maximum(rates_row, _EPS), 0.0)
+    needed = np.where(active & (rates_row <= _EPS), np.inf, needed)
+
+    if mode == "redistribute":
+        return max_min_time_shares_batch(needed)
+    shares = np.zeros_like(load)
+    if mode == "active":
+        n_active = active.sum(axis=1)
+        rows = n_active > 0
+        shares[rows] = active[rows] / n_active[rows, np.newaxis]
+    elif rates.size > 0:  # fixed
+        shares[active] = 1.0 / rates.size
+    return shares
+
+
+def backhaul_throughputs_batch(plc_rates: np.ndarray, demands: np.ndarray,
+                               mode: str = "redistribute") -> np.ndarray:
+    """Fast path: ``(B, n)`` backhaul throughputs only, no validation.
+
+    The batch twin of :func:`backhaul_throughputs`: bit-identical to
+    ``allocate_backhaul_batch(plc_rates, demands, mode).throughputs``
+    (same :func:`_time_shares_batch` kernel and cap) for a float
+    ``(B, n)`` ``demands`` matrix and float ``plc_rates`` vector with
+    non-negative entries and a valid ``mode``.  This is the per-arrival
+    hot path of :class:`repro.net.engine.ArrivalScorer`.
+    """
+    shares = _time_shares_batch(plc_rates, demands, mode)
+    return np.minimum(shares * plc_rates[np.newaxis, :], demands)
+
+
 @dataclass(frozen=True)
 class BatchPlcAllocation:
     """PLC backhaul allocations for a batch of demand vectors.
@@ -303,25 +341,9 @@ def allocate_backhaul_batch(plc_rates: Sequence[float],
     if np.any(rates < 0) or np.any(load < 0):
         raise ValueError("rates and demands must be non-negative")
 
-    active = load > _EPS
-    rates_row = rates[np.newaxis, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        needed = np.where(active & (rates_row > 0),
-                          load / np.maximum(rates_row, _EPS), 0.0)
-    needed = np.where(active & (rates_row <= _EPS), np.inf, needed)
-
-    if mode == "redistribute":
-        shares = max_min_time_shares_batch(needed)
-    elif mode == "active":
-        shares = np.zeros_like(load)
-        n_active = active.sum(axis=1)
-        rows = n_active > 0
-        shares[rows] = active[rows] / n_active[rows, np.newaxis]
-    else:  # fixed
-        shares = np.zeros_like(load)
-        if rates.size > 0:
-            shares[active] = 1.0 / rates.size
-    throughputs = np.minimum(shares * rates_row, load)
-    saturated = active & (throughputs + _EPS < load)
+    shares = _time_shares_batch(rates, load, mode)
+    throughputs = np.minimum(shares * rates[np.newaxis, :], load)
+    saturated = (load > _EPS) & (throughputs + _EPS < load)
     return BatchPlcAllocation(time_shares=shares, throughputs=throughputs,
                               saturated=saturated)
+

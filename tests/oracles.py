@@ -1,13 +1,15 @@
 """Readable reference oracles for the production search kernels.
 
 Production keeps one path per solver: Phase II inserts users over an
-incrementally maintained gains matrix and relocates them with one
-batched gain vector each, the greedy baselines score every arrival's
-candidates in one :func:`~repro.net.engine.evaluate_batch` call, and
-:class:`~repro.core.dynamic.IncrementalWolt` scores moves with a
-:class:`~repro.net.engine.DeltaEvaluator`.  The functions here make the
-same sequence of decisions the plain way, one candidate at a time, so
-the differential walls (``test_delta_eval.py``,
+incrementally maintained gains matrix and searches relocations and
+swaps on Python-float cell state, the greedy baselines score every
+arrival's candidates with one :class:`~repro.net.engine.ArrivalScorer`
+pass, and :class:`~repro.core.dynamic.IncrementalWolt` scores moves
+with a :class:`~repro.net.engine.DeltaEvaluator`.  The functions here
+make the same sequence of decisions the plain way, one candidate at a
+time or one tiled :func:`~repro.net.engine.evaluate_batch` per
+arrival, on state they do not share with production, so the
+differential walls (``test_delta_eval.py``, ``test_greedy_wall.py``,
 ``test_batching_acceptance.py``, ``test_dynamic.py``) can assert that
 production matches them bit for bit.
 
@@ -31,8 +33,7 @@ import numpy as np
 from repro.core.dynamic import IncrementalWolt, ReconfigureOutcome
 from repro.core.guard import DecisionGuard
 from repro.core.phase1 import phase1_utilities, solve_phase1
-from repro.core.phase2 import (Phase2Result, _CellState, _try_swaps,
-                               wifi_objective)
+from repro.core.phase2 import Phase2Result, wifi_objective
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import WoltResult, solve_wolt
 from repro.fleet.ingest import (BAD_FIELD, STREAM_VERSION,
@@ -103,6 +104,84 @@ def time_fair_throughputs(plc_rates: Sequence[float],
 
 # ----------------------------------------------------------------------
 # Phase II and WOLT
+
+
+class _CellState:
+    """Incremental per-extender WiFi state on numpy scalars.
+
+    The numpy-array form of :class:`repro.core.phase2._CellState`,
+    kept so the Phase-II wall compares production against state
+    updates it does not share.
+    """
+
+    def __init__(self, scenario: Scenario, assignment: np.ndarray) -> None:
+        self.scenario = scenario
+        n_ext = scenario.n_extenders
+        self.counts = np.zeros(n_ext, dtype=int)
+        self.inv_rate_sums = np.zeros(n_ext, dtype=float)
+        for i in np.flatnonzero(assignment != UNASSIGNED):
+            j = assignment[i]
+            self.counts[j] += 1
+            self.inv_rate_sums[j] += 1.0 / scenario.wifi_rates[i, j]
+
+    def throughput(self, j: int) -> float:
+        if self.counts[j] == 0:
+            return 0.0
+        return self.counts[j] / self.inv_rate_sums[j]
+
+    def total(self) -> float:
+        busy = self.counts > 0
+        return float((self.counts[busy] / self.inv_rate_sums[busy]).sum())
+
+    def add(self, user: int, j: int) -> None:
+        self.counts[j] += 1
+        self.inv_rate_sums[j] += 1.0 / self.scenario.wifi_rates[user, j]
+
+    def remove(self, user: int, j: int) -> None:
+        self.counts[j] -= 1
+        self.inv_rate_sums[j] -= 1.0 / self.scenario.wifi_rates[user, j]
+        if self.counts[j] == 0:
+            self.inv_rate_sums[j] = 0.0
+
+    def room(self, j: int) -> bool:
+        return self.counts[j] < self.scenario.capacity_of(j)
+
+
+def _try_swaps(scenario: Scenario, state: _CellState,
+               assignment: np.ndarray, movable: np.ndarray) -> bool:
+    """One first-improvement pass of pairwise extender swaps.
+
+    A rejected swap is undone by the reverse updates in the same order
+    as :func:`repro.core.phase2._try_swaps`.  Returns True if any swap
+    improved the objective.
+    """
+    improved = False
+    for a_pos in range(movable.size):
+        a = int(movable[a_pos])
+        for b_pos in range(a_pos + 1, movable.size):
+            b = int(movable[b_pos])
+            ja, jb = int(assignment[a]), int(assignment[b])
+            if ja == jb:
+                continue
+            ra_jb = scenario.wifi_rates[a, jb]
+            rb_ja = scenario.wifi_rates[b, ja]
+            if ra_jb <= MIN_USABLE_RATE or rb_ja <= MIN_USABLE_RATE:
+                continue
+            before = state.throughput(ja) + state.throughput(jb)
+            state.remove(a, ja)
+            state.remove(b, jb)
+            state.add(a, jb)
+            state.add(b, ja)
+            after = state.throughput(ja) + state.throughput(jb)
+            if after > before + 1e-12:
+                assignment[a], assignment[b] = jb, ja
+                improved = True
+            else:
+                state.remove(a, jb)
+                state.remove(b, ja)
+                state.add(a, ja)
+                state.add(b, jb)
+    return improved
 
 
 def _gain_of_adding(state: _CellState, user: int, j: int) -> float:
@@ -266,6 +345,99 @@ def selfish_greedy_reference(scenario: Scenario,
     return _greedy_reference(
         scenario, arrival_order, plc_mode, guard, "selfish",
         lambda report, user: report.user_throughputs[user])
+
+
+GreedyTrace = List[Tuple[int, List[int], np.ndarray, int]]
+
+
+def tiled_arrival_scores(scenario: Scenario, assignment: Sequence[int],
+                         user: int, plc_mode: str = "redistribute",
+                         selfish: bool = False
+                         ) -> Tuple[List[int], Optional[np.ndarray]]:
+    """One arrival's candidates and scores from a tiled ``evaluate_batch``.
+
+    The assignment is tiled once per reachable extender with room and
+    the whole batch is evaluated; the score is each row's aggregate, or
+    with ``selfish`` the arrival's own throughput.  Room counts the
+    arrival's current cell, if any.  Returns ``([], None)`` when no
+    extender qualifies.
+    """
+    assign = np.array(assignment, dtype=int)
+    counts = np.bincount(assign[assign != UNASSIGNED],
+                         minlength=scenario.n_extenders)
+    candidates = [int(j) for j in scenario.reachable(user)
+                  if counts[j] < scenario.capacity_of(int(j))]
+    if not candidates:
+        return [], None
+    batch = np.tile(assign, (len(candidates), 1))
+    batch[np.arange(len(candidates)), user] = candidates
+    report = evaluate_batch(scenario, batch, plc_mode=plc_mode)
+    if selfish:
+        return candidates, report.user_throughputs[:, user]
+    return candidates, report.aggregates
+
+
+def _stronger_tie_break(scenario: Scenario, user: int,
+                        candidates: List[int], scores: np.ndarray) -> int:
+    """Highest ``(score, WiFi rate)``; the first strictly greater wins."""
+    best_k = 0
+    for k in range(1, len(candidates)):
+        if ((scores[k], scenario.wifi_rates[user, candidates[k]])
+                > (scores[best_k],
+                   scenario.wifi_rates[user, candidates[best_k]])):
+            best_k = k
+    return candidates[best_k]
+
+
+def _greedy_batch_reference(scenario: Scenario,
+                            arrival_order: Optional[Sequence[int]],
+                            plc_mode: str, guard: Optional[DecisionGuard],
+                            selfish: bool,
+                            trace: Optional[GreedyTrace]) -> np.ndarray:
+    order = range(scenario.n_users) if arrival_order is None \
+        else arrival_order
+    assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
+    for user in order:
+        user = int(user)
+        candidates, scores = tiled_arrival_scores(
+            scenario, assignment, user, plc_mode, selfish)
+        if scores is None:
+            if guard is None:
+                raise ValueError(f"user {user} cannot be attached anywhere")
+            continue
+        choice = _stronger_tie_break(scenario, user, candidates, scores)
+        if trace is not None:
+            trace.append((user, candidates, scores, choice))
+        assignment[user] = choice
+    if guard is not None:
+        assignment, _ = guard.repair_assignment(
+            scenario, assignment, source="selfish" if selfish else "greedy")
+    return assignment
+
+
+def greedy_batch_reference(scenario: Scenario,
+                           arrival_order: Optional[Sequence[int]] = None,
+                           plc_mode: str = "redistribute",
+                           guard: Optional[DecisionGuard] = None,
+                           trace: Optional[GreedyTrace] = None
+                           ) -> np.ndarray:
+    """§V-B Greedy scoring every arrival with a tiled ``evaluate_batch``.
+
+    With ``trace``, appends ``(user, candidates, scores, choice)`` per
+    arrival, so a test can compare each arrival's scores bit for bit.
+    """
+    return _greedy_batch_reference(scenario, arrival_order, plc_mode,
+                                   guard, False, trace)
+
+
+def selfish_greedy_batch_reference(
+        scenario: Scenario, arrival_order: Optional[Sequence[int]] = None,
+        plc_mode: str = "redistribute",
+        guard: Optional[DecisionGuard] = None,
+        trace: Optional[GreedyTrace] = None) -> np.ndarray:
+    """Selfish greedy scoring every arrival with a tiled ``evaluate_batch``."""
+    return _greedy_batch_reference(scenario, arrival_order, plc_mode,
+                                   guard, True, trace)
 
 
 # ----------------------------------------------------------------------

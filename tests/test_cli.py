@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -121,6 +123,21 @@ class TestSimCommand:
                                   "--resume"]) == 0
         second = capsys.readouterr().out
         assert "(3 resumed from checkpoint, 0 failed)" in second
+
+    def test_sim_journal_matches_decision_golden(self, tmp_path, capsys):
+        """The Fig. 6a sweep journal is byte-identical to the golden.
+
+        The journal holds every trial's WOLT, Greedy and RSSI
+        assignments and float aggregates, so this pins their decisions
+        bit for bit.  The golden was recorded with ``--workers 2``; the
+        journal does not depend on the worker count.
+        """
+        journal = tmp_path / "sweep.jsonl"
+        assert main(["sim", "--trials", "12", "--seed", "7",
+                     "--checkpoint", str(journal)]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).parent / "data" / "sim_sweep_golden.jsonl"
+        assert journal.read_bytes() == golden.read_bytes()
 
     def test_sim_existing_checkpoint_without_resume_exits_1(
             self, tmp_path, capsys):

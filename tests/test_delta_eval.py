@@ -32,6 +32,7 @@ from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
 from repro.net.engine import (DeltaEvaluator, count_engine_calls,
                               evaluate, evaluate_batch)
+from repro.net.topology import enterprise_floor
 from repro.wifi.phy import MCS_TABLE_80211N_20MHZ
 
 from .conftest import random_scenario
@@ -326,6 +327,16 @@ class TestPhase2DeltaDifferential:
                  else solve_phase1(scenario).assignment)
         _assert_same_phase2(solve_phase2(scenario, start),
                             phase2_reference(scenario, start))
+
+    @pytest.mark.parametrize("n_users,seed", [(36, 0), (36, 1), (36, 2),
+                                              (36, 3), (124, 0)])
+    def test_fig6_floors_bit_identical(self, n_users, seed):
+        """Fig. 6 floors: hundreds of rejected swaps, each undone in the
+        fixed order; the final objective bits see every undo."""
+        floor = enterprise_floor(15, n_users, np.random.default_rng(seed))
+        p1 = solve_phase1(floor)
+        _assert_same_phase2(solve_phase2(floor, p1.assignment),
+                            phase2_reference(floor, p1.assignment))
 
     def test_guarded_insertion_drops_users_left_without_room(self):
         """Capacity, not hearing, leaves a user unplaceable: the guarded

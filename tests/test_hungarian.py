@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.core.hungarian import InfeasibleAssignmentError, solve_assignment
+from repro.core.hungarian import (InfeasibleAssignmentError,
+                                  max_cardinality_assignment,
+                                  solve_assignment)
 
 
 class TestBasics:
@@ -120,3 +122,58 @@ class TestAgainstScipy:
         rows, cols = solve_assignment(w)
         assert sorted(rows.tolist()) == list(range(n))
         assert sorted(cols.tolist()) == list(range(n))
+
+
+def _best_partial_matching(w):
+    """(cardinality, total) of the best matching over finite pairs."""
+    n_rows, n_cols = w.shape
+    best = (0, 0.0)
+
+    def extend(row, used, size, total):
+        nonlocal best
+        if row == n_rows:
+            best = max(best, (size, total))
+            return
+        extend(row + 1, used, size, total)
+        for col in range(n_cols):
+            if col not in used and np.isfinite(w[row, col]):
+                extend(row + 1, used | {col}, size + 1, total + w[row, col])
+
+    extend(0, frozenset(), 0, 0.0)
+    return best
+
+
+class TestMaxCardinalityAssignment:
+    def test_equals_solve_assignment_when_complete(self):
+        rng = np.random.default_rng(5)
+        for shape in ((4, 4), (6, 3), (3, 6)):
+            w = rng.uniform(1.0, 50.0, size=shape)
+            w[rng.random(shape) < 0.2] = -np.inf
+            try:
+                want = solve_assignment(w, maximize=True)
+            except InfeasibleAssignmentError:
+                continue
+            got = max_cardinality_assignment(w, maximize=True)
+            assert all(np.array_equal(g, x) for g, x in zip(got, want))
+
+    def test_hall_violation_keeps_a_largest_matching(self):
+        # Extenders 0 and 1 are both heard only by user 0.
+        w = np.array([[10.0, 20.0, 5.0], [-np.inf, -np.inf, 7.0]])
+        rows, cols = max_cardinality_assignment(w.T, maximize=True)
+        assert sorted(zip(cols.tolist(), rows.tolist())) == [(0, 1), (1, 2)]
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1),
+           st.floats(min_value=0.2, max_value=0.8))
+    @settings(max_examples=150, deadline=None)
+    def test_largest_then_best_matching(self, n_rows, n_cols, seed, density):
+        rng = np.random.default_rng(seed)
+        w = np.round(rng.uniform(1.0, 30.0, size=(n_rows, n_cols)))
+        w[rng.random((n_rows, n_cols)) >= density] = -np.inf
+        if not np.isfinite(w).any():
+            return
+        rows, cols = max_cardinality_assignment(w, maximize=True)
+        assert np.all(np.isfinite(w[rows, cols]))
+        assert len(set(rows.tolist())) == len(set(cols.tolist())) == rows.size
+        size, total = _best_partial_matching(w)
+        assert rows.size == size
+        assert w[rows, cols].sum() == pytest.approx(total)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import repro
 from repro.core.phase1 import phase1_utilities, solve_phase1
 from repro.core.problem import UNASSIGNED, Scenario
 
@@ -107,3 +113,38 @@ class TestSolvePhase1:
         # Anchors only sit on reachable extenders.
         for i in anchored:
             assert sc.wifi_rates[i, res.assignment[i]] > 0
+
+
+class TestHallFallbackDeterminism:
+    #: Extender 0 is heard by users 1 and 3 only, so users 1 and 3
+    #: cannot both anchor: one extender stays unmatched, and the three
+    #: maximum matchings tie on utility.
+    WIFI = [[0, 38, 38, 0], [104, 0, 0, 0], [0, 91, 0, 39], [75, 0, 0, 0]]
+
+    def test_same_anchors_under_every_hash_seed(self):
+        """The kept extenders do not depend on ``PYTHONHASHSEED``."""
+        code = (
+            "import numpy as np\n"
+            "from repro.core.phase1 import solve_phase1\n"
+            "from repro.core.problem import Scenario\n"
+            f"sc = Scenario(wifi_rates=np.array({self.WIFI}, float),\n"
+            "              plc_rates=np.full(4, 120.0))\n"
+            "print(solve_phase1(sc).assignment.tolist())\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True, timeout=60)
+            outputs.add(done.stdout.strip())
+        assert len(outputs) == 1, outputs
+
+    def test_keeps_a_maximum_matching(self):
+        sc = Scenario(wifi_rates=np.array(self.WIFI, float),
+                      plc_rates=np.full(4, 120.0))
+        res = solve_phase1(sc)
+        assert res.anchored_users.size == 3
+        assert res.unmatched_extenders.size == 1
+        assert res.objective == pytest.approx(90.0)
